@@ -10,9 +10,13 @@
 // level i costs one multiply-add per channel instead of re-deriving the
 // whole dot product. Every value is a pure function of the digit tuple —
 // independent of how the index range is partitioned across threads.
-// Per-thread partial results (feasible count, running min-cost/min-time
-// points, local Pareto buffers, sampled scatter points) are merged at the
-// end — the classic map-reduce shape of an HPC parameter sweep.
+// Per-block partial results (feasible count, running min-cost/min-time
+// points, local Pareto candidates, sampled scatter points) are merged in
+// block order at the end — the classic map-reduce shape of an HPC
+// parameter sweep. Each block drops a point that its Pareto frontier so
+// far strictly dominates before buffering it, and every tie resolves to
+// the lowest config_index, so the answer is bit-identical for any pool
+// size (see DESIGN.md §13, "Exact prune-before-buffer").
 //
 // Deterministic queries (confidence_z == 0, no sampling) can skip the
 // sweep entirely via the demand-invariant FrontierIndex — see
@@ -145,8 +149,10 @@ struct SweepResult {
   std::uint64_t total = 0;      // configurations evaluated (== space size)
   std::uint64_t feasible = 0;   // satisfying both constraints
   bool any_feasible = false;
-  CostTimePoint min_cost;       // cheapest feasible (ties: faster wins)
-  CostTimePoint min_time;       // fastest feasible (ties: cheaper wins)
+  CostTimePoint min_cost;       // cheapest feasible (ties: faster, then
+                                // lowest config_index wins)
+  CostTimePoint min_time;       // fastest feasible (ties: cheaper, then
+                                // lowest config_index wins)
   QueryRoute route = QueryRoute::kSweep;       // path actually taken
   std::vector<CostTimePoint> pareto;           // ascending cost
   std::vector<CostTimePoint> feasible_points;  // sampled scatter

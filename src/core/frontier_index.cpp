@@ -78,34 +78,10 @@ constexpr double kRetestSlack = 1e-9;
 /// the caller falls back to a full rebuild.
 constexpr std::size_t kMaxCandidates = std::size_t{1} << 22;
 constexpr std::size_t kMaxScreened = std::size_t{1} << 22;
-
-/// The (max U, min slope) non-dominated staircase, returned ascending in U
-/// with (near-)non-decreasing slope. Near-ties within kSlopeMargin are all
-/// kept so rounded-cost comparisons resolve exactly as sweep()'s.
-std::vector<FrontierIndex::Entry> staircase_filter(
-    std::vector<FrontierIndex::Entry> entries) {
-  std::sort(entries.begin(), entries.end(),
-            [](const FrontierIndex::Entry& a, const FrontierIndex::Entry& b) {
-              if (a.u != b.u) return a.u > b.u;
-              if (a.cu != b.cu) return a.cu < b.cu;
-              return a.config_index < b.config_index;
-            });
-  std::vector<FrontierIndex::Entry> kept;
-  double best_slope = kInf;
-  for (const auto& entry : entries) {
-    const double slope = entry.cu / entry.u;
-    if (slope <= best_slope * (1.0 + kSlopeMargin)) {
-      // Skip exact (u, cu) duplicates; pareto_filter would drop them too.
-      if (!kept.empty() && kept.back().u == entry.u &&
-          kept.back().cu == entry.cu)
-        continue;
-      kept.push_back(entry);
-      best_slope = std::min(best_slope, slope);
-    }
-  }
-  std::reverse(kept.begin(), kept.end());
-  return kept;
-}
+/// Pass-A survivors a block appends before it re-filters its staircase;
+/// the interval grows with the staircase so filtering stays amortized
+/// O(log F) per surviving point.
+constexpr std::size_t kMinRefilter = 256;
 
 /// Suffix minimum of the staircase slopes: sm[k] = min slope over
 /// frontier[k..); sm[frontier.size()] = +inf. Because staircase_filter's
@@ -154,6 +130,37 @@ std::uint64_t double_bits(double value) {
 }
 
 }  // namespace
+
+namespace detail {
+
+std::vector<FrontierIndex::Entry> staircase_filter(
+    std::vector<FrontierIndex::Entry> entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const FrontierIndex::Entry& a, const FrontierIndex::Entry& b) {
+              if (a.u != b.u) return a.u > b.u;
+              if (a.cu != b.cu) return a.cu < b.cu;
+              return a.config_index < b.config_index;
+            });
+  std::vector<FrontierIndex::Entry> kept;
+  double best_slope = kInf;
+  for (const auto& entry : entries) {
+    const double slope = entry.cu / entry.u;
+    if (slope <= best_slope * (1.0 + kSlopeMargin)) {
+      // Skip exact (u, cu) duplicates; pareto_filter would drop them too.
+      if (!kept.empty() && kept.back().u == entry.u &&
+          kept.back().cu == entry.cu)
+        continue;
+      kept.push_back(entry);
+      best_slope = std::min(best_slope, slope);
+    }
+  }
+  std::reverse(kept.begin(), kept.end());
+  return kept;
+}
+
+}  // namespace detail
+
+using detail::staircase_filter;
 
 // --- GridStore -------------------------------------------------------------
 //
@@ -316,8 +323,12 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   store->grid = grid;
   store->anchor_hourly = index.hourly_;
 
-  // Fences from a deterministic stride sample. Fence values only steer the
-  // partition (any value is correct); quantiles keep the strips balanced.
+  // Fences and seed staircase from one deterministic stride sample. Fence
+  // values only steer the partition (any value is correct); quantiles keep
+  // the strips balanced. The sample is valued with the walk's canonical
+  // fold, so its staircase holds real points bit for bit as pass A walks
+  // them and can seed every block's pruning frontier.
+  std::vector<Entry> seed;
   {
     const std::uint64_t target = std::min<std::uint64_t>(n, 65536);
     const std::uint64_t stride = std::max<std::uint64_t>(1, n / target);
@@ -325,25 +336,58 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
     std::vector<int> digits(space.num_types());
     for (std::uint64_t i = 0; i < n; i += stride) {
       space.decode_into(i, digits);
-      double u = 0.0, cu = 0.0;
-      for (std::size_t t = 0; t < digits.size(); ++t) {
-        u += digits[t] * rates[t];
-        cu += digits[t] * hourly[t];
-      }
+      const double u = SweepPlan::fold_value(digits, rates);
+      const double cu = SweepPlan::fold_value(digits, hourly);
       if (u > 0) {
         u_sample.push_back(u);
         s_sample.push_back(cu / u);
+        seed.push_back({u, cu, i});
       }
     }
     store->u_fences = make_fences(std::move(u_sample), grid);
     store->s_fences = make_fences(std::move(s_sample), grid);
+    seed = staircase_filter(std::move(seed));
   }
 
-  // Pass A: per-block strip histograms + staircase candidates.
+  // Pass A: per-block strip histograms + staircase candidates. A point
+  // whose slope exceeds the block staircase's suffix-min slope above its U
+  // by more than kSlopeMargin is dropped before it is buffered: every
+  // staircase_filter over a superset meets those larger-U entries first,
+  // so its running best slope is already that low and it would never keep
+  // the point (DESIGN.md §13, "Exact prune-before-buffer").
   const auto blocks = parallel::split_range(0, n, pool.num_threads());
   struct BlockStats {
     std::vector<std::uint64_t> hist_u, hist_s;
+    // frontier[0, staircase) is the latest staircase_filter output
+    // (ascending U) and slope_min its slope_suffix_min; the entries after
+    // it survived the pruning check against that staircase.
     std::vector<Entry> frontier;
+    std::size_t staircase = 0;
+    std::vector<double> slope_min;
+    // The last pruning test that dropped a point: every point with U below
+    // witness_u and slope above witness_slope is dropped by the same
+    // argument, so it is tried first (consecutive configurations usually
+    // share it). The initial witness drops nothing.
+    double witness_u = -kInf;
+    double witness_slope = kInf;
+
+    /// True when the point (u, slope) can never be a staircase entry.
+    bool pruned(double u, double slope) {
+      if (u < witness_u && slope > witness_slope) return true;
+      const std::size_t above =
+          frontier_above(std::span(frontier.data(), staircase), u);
+      const double bound = slope_min[above] * (1.0 + kSlopeMargin);
+      if (!(slope > bound)) return false;
+      witness_u = frontier[above].u;
+      witness_slope = bound;
+      return true;
+    }
+
+    void refilter() {
+      frontier = staircase_filter(std::move(frontier));
+      staircase = frontier.size();
+      slope_min = slope_suffix_min(frontier);
+    }
   };
   std::vector<BlockStats> stats(blocks.size());
   {
@@ -351,23 +395,25 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
     futures.reserve(blocks.size());
     for (std::size_t b = 0; b < blocks.size(); ++b) {
       futures.push_back(pool.submit([&, b] {
-        BlockStats& local = stats[b];
+        BlockStats local;  // block-local: no false sharing
         local.hist_u.assign(grid, 0);
         local.hist_s.assign(grid, 0);
-        std::size_t prune = 1 << 15;
+        local.frontier = seed;
+        local.refilter();
         detail::walk_range(
             space, rates, hourly, zero_var, blocks[b],
             [&](std::uint64_t idx, double u, double cu, double /*v*/) {
               if (u <= 0) return;
+              const double slope = cu / u;
               ++local.hist_u[strip_of(store->u_fences, u)];
-              ++local.hist_s[strip_of(store->s_fences, cu / u)];
+              ++local.hist_s[strip_of(store->s_fences, slope)];
+              if (local.pruned(u, slope)) return;
               local.frontier.push_back({u, cu, idx});
-              if (local.frontier.size() >= prune) {
-                local.frontier = staircase_filter(std::move(local.frontier));
-                prune = std::max<std::size_t>(1 << 15,
-                                              2 * local.frontier.size());
-              }
+              if (local.frontier.size() - local.staircase >=
+                  std::max(kMinRefilter, local.staircase))
+                local.refilter();
             });
+        stats[b] = std::move(local);
       }));
     }
     for (auto& f : futures) f.get();
@@ -899,19 +945,14 @@ SweepResult FrontierIndex::query_impl(double demand,
     const double seconds = demand / e.u;
     const double cost = seconds / 3600.0 * e.cu;
     if (!(cost < budget)) continue;
+    const CostTimePoint point{e.config_index, seconds, cost};
     if (!any) {
-      result.min_cost = result.min_time = {e.config_index, seconds, cost};
+      result.min_cost = result.min_time = point;
       any = true;
       continue;
     }
-    if (cost < result.min_cost.cost ||
-        (cost == result.min_cost.cost && seconds < result.min_cost.seconds)) {
-      result.min_cost = {e.config_index, seconds, cost};
-    }
-    if (seconds < result.min_time.seconds ||
-        (seconds == result.min_time.seconds && cost < result.min_time.cost)) {
-      result.min_time = {e.config_index, seconds, cost};
-    }
+    if (cheaper(point, result.min_cost)) result.min_cost = point;
+    if (faster(point, result.min_time)) result.min_time = point;
   }
   result.any_feasible = any;
 

@@ -244,6 +244,18 @@ class FrontierIndex {
   double rho_hi_ = 1.0;
 };
 
+namespace detail {
+
+/// The (max U, min slope) non-dominated staircase, returned ascending in U
+/// with (near-)non-decreasing slope. Near-ties within the slope margin are
+/// all kept so rounded-cost comparisons resolve exactly as sweep()'s; of
+/// entries equal in (U, Cu) only the lowest config_index is kept. The
+/// build's frontier equals this filter over every U > 0 configuration.
+std::vector<FrontierIndex::Entry> staircase_filter(
+    std::vector<FrontierIndex::Entry> entries);
+
+}  // namespace detail
+
 /// Process-wide index cache (small LRU keyed by (catalog fingerprint,
 /// model content)): returns the shared index for (space, capacity,
 /// hourly_costs), building it on first use. This is what

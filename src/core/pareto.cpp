@@ -7,20 +7,12 @@
 
 namespace celia::core {
 
-bool dominates(const CostTimePoint& a, const CostTimePoint& b) {
-  return a.seconds <= b.seconds && a.cost <= b.cost &&
-         (a.seconds < b.seconds || a.cost < b.cost);
-}
-
 std::vector<CostTimePoint> pareto_filter(std::vector<CostTimePoint> points) {
   if (points.empty()) return points;
   // Ascending cost; ties broken by ascending time so the scan keeps the
-  // best-time representative of each cost level.
-  std::sort(points.begin(), points.end(),
-            [](const CostTimePoint& a, const CostTimePoint& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              return a.seconds < b.seconds;
-            });
+  // best-time representative of each cost level, then by config_index so
+  // the kept representative never depends on the input order.
+  std::sort(points.begin(), points.end(), cheaper);
   std::vector<CostTimePoint> frontier;
   double best_seconds = std::numeric_limits<double>::infinity();
   for (const auto& point : points) {

@@ -24,10 +24,32 @@ struct CostTimePoint {
 
 /// True when `a` dominates `b`: no worse in both objectives, strictly
 /// better in at least one.
-bool dominates(const CostTimePoint& a, const CostTimePoint& b);
+inline bool dominates(const CostTimePoint& a, const CostTimePoint& b) {
+  return a.seconds <= b.seconds && a.cost <= b.cost &&
+         (a.seconds < b.seconds || a.cost < b.cost);
+}
+
+/// The canonical reduction orders: (cost, seconds, config_index) and
+/// (seconds, cost, config_index). Every planner reduction — min-cost,
+/// min-time, the Pareto sort, every cross-block merge — ranks with one of
+/// these (a scan that visits points in index order may drop the last key),
+/// so a tie in (cost, seconds) always resolves to the lowest config_index
+/// whatever the visit order, block partition or thread count.
+inline bool cheaper(const CostTimePoint& a, const CostTimePoint& b) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  if (a.seconds != b.seconds) return a.seconds < b.seconds;
+  return a.config_index < b.config_index;
+}
+
+inline bool faster(const CostTimePoint& a, const CostTimePoint& b) {
+  if (a.seconds != b.seconds) return a.seconds < b.seconds;
+  if (a.cost != b.cost) return a.cost < b.cost;
+  return a.config_index < b.config_index;
+}
 
 /// Exact Pareto filter; returns the frontier sorted by ascending cost
-/// (hence descending time). O(n log n).
+/// (hence descending time). Among points equal in (cost, seconds) the one
+/// with the lowest config_index is kept. O(n log n).
 std::vector<CostTimePoint> pareto_filter(std::vector<CostTimePoint> points);
 
 /// Epsilon-nondomination sort: points are binned into (eps_seconds x

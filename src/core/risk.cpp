@@ -93,10 +93,8 @@ std::optional<CostTimePoint> robust_min_cost(
         std::optional<CostTimePoint> local;
         const auto note = [&](std::uint64_t index, double seconds,
                               double cost) {
-          if (!local || cost < local->cost ||
-              (cost == local->cost && seconds < local->seconds)) {
-            local = CostTimePoint{index, seconds, cost};
-          }
+          const CostTimePoint point{index, seconds, cost};
+          if (!local || cheaper(point, *local)) local = point;
         };
         const auto consider = [&](std::uint64_t index, double u, double cu,
                                   double v, int instances) {
@@ -166,9 +164,7 @@ std::optional<CostTimePoint> robust_min_cost(
 
         if (local) {
           std::lock_guard<std::mutex> lock(merge_mutex);
-          if (!best || local->cost < best->cost ||
-              (local->cost == best->cost && local->seconds < best->seconds))
-            best = local;
+          if (!best || cheaper(*local, *best)) best = local;
         }
       },
       for_options);

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/enumerate.hpp"
 #include "core/time_cost.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -19,6 +23,107 @@ ResourceCapacity test_capacity() {
   std::vector<double> per_vcpu = {1.4e9, 1.4e9, 1.4e9, 1.3e9, 1.3e9,
                                   1.3e9, 1.1e9, 1.1e9, 1.1e9};
   return ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3());
+}
+
+/// A small model. With `tied` the per-vCPU rates and hourly prices are
+/// small integer multiples of one unit: every fold is exact, so distinct
+/// configurations often share the same (U, Cu) doubles and hence exactly
+/// equal (seconds, cost) — every tie-break in the sweep is exercised.
+/// Without it they are drawn from continuous ranges, so folds round and a
+/// value taken in any other order than the walk's shows up as a mismatch.
+struct SmallModel {
+  ConfigurationSpace space;
+  ResourceCapacity capacity;
+  std::vector<double> hourly;
+};
+
+SmallModel small_model(celia::util::Xoshiro256& rng,
+                       std::vector<int> max_counts, bool tied) {
+  const std::size_t width = max_counts.size();
+  std::vector<double> per_vcpu(width), hourly(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    per_vcpu[i] = tied ? 1e9 * static_cast<double>(1 + rng.bounded(3))
+                       : rng.uniform(1e9, 3e9);
+    hourly[i] = tied ? 0.125 * static_cast<double>(1 + rng.bounded(8))
+                     : rng.uniform(0.1, 1.0);
+  }
+  return {ConfigurationSpace(std::move(max_counts)),
+          ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3()),
+          std::move(hourly)};
+}
+
+/// Random limits in [1, 3] per type: 511 to 262,143 configurations.
+std::vector<int> random_limits(celia::util::Xoshiro256& rng) {
+  std::vector<int> max_counts(celia::cloud::catalog_size());
+  for (auto& count : max_counts)
+    count = 1 + static_cast<int>(rng.bounded(3));
+  return max_counts;
+}
+
+std::string hex(const CostTimePoint& p) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "#%llu %a %a",
+                static_cast<unsigned long long>(p.config_index), p.seconds,
+                p.cost);
+  return buf;
+}
+
+std::vector<std::string> hex(const std::vector<CostTimePoint>& points) {
+  std::vector<std::string> out;
+  for (const auto& p : points) out.push_back(hex(p));
+  return out;
+}
+
+void expect_bit_identical(const SweepResult& a, const SweepResult& b) {
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.any_feasible, b.any_feasible);
+  EXPECT_EQ(a.route, b.route);
+  EXPECT_EQ(hex(a.min_cost), hex(b.min_cost));
+  EXPECT_EQ(hex(a.min_time), hex(b.min_time));
+  EXPECT_EQ(hex(a.pareto), hex(b.pareto));
+  EXPECT_EQ(hex(a.feasible_points), hex(b.feasible_points));
+}
+
+Constraints risk_aware(Constraints constraints) {
+  constraints.confidence_z = 1.645;
+  constraints.rate_sigma = 0.1;
+  return constraints;
+}
+
+/// Every feasible point, gathered one configuration at a time with
+/// for_each_configuration and classified with the sweep's expressions
+/// (risk-aware: the effective capacity U - z sqrt(V), with V from the
+/// walk's canonical fold).
+std::vector<CostTimePoint> brute_force_feasible(const SmallModel& model,
+                                                double demand,
+                                                const Constraints& c) {
+  const bool risk = c.confidence_z > 0 && c.rate_sigma > 0;
+  std::vector<double> var_terms;
+  for (std::size_t i = 0; i < model.capacity.num_types(); ++i) {
+    const double term = model.capacity.rate(i) * c.rate_sigma;
+    var_terms.push_back(term * term);
+  }
+  celia::parallel::ThreadPool one(1);
+  std::vector<CostTimePoint> feasible;
+  std::vector<int> digits(model.space.num_types());
+  for_each_configuration(
+      model.space, model.capacity, model.hourly,
+      [&](std::uint64_t index, double u, double cu) {
+        double ue = u;
+        if (risk) {
+          model.space.decode_into(index, digits);
+          ue = u - c.confidence_z *
+                       std::sqrt(SweepPlan::fold_value(digits, var_terms));
+        }
+        const double seconds = demand / ue;
+        const double cost = seconds / 3600.0 * cu;
+        if (ue > 0 && seconds < c.deadline_seconds &&
+            cost < c.budget_dollars)
+          feasible.push_back({index, seconds, cost});
+      },
+      &one);
+  return feasible;
 }
 
 TEST(Sweep, VisitsEveryConfigurationOnce) {
@@ -152,6 +257,82 @@ TEST(Sweep, DeterministicAcrossRuns) {
   ASSERT_EQ(a.pareto.size(), b.pareto.size());
   for (std::size_t i = 0; i < a.pareto.size(); ++i)
     EXPECT_EQ(a.pareto[i].config_index, b.pareto[i].config_index);
+}
+
+TEST(Sweep, BitIdenticalAcrossThreadCounts) {
+  // Exact (cost, seconds) ties everywhere: the answer must still name the
+  // same configurations whatever the block partition and merge order.
+  celia::util::Xoshiro256 rng(1217);
+  const SmallModel model = small_model(
+      rng, std::vector<int>(celia::cloud::catalog_size(), 3), /*tied=*/true);
+  celia::parallel::ThreadPool one(1), two(2), eight(8);
+  Constraints base;
+  base.deadline_seconds = 3600.0;
+  const double demand = 2e13;
+  for (const Constraints& constraints : {base, risk_aware(base)}) {
+    SCOPED_TRACE(constraints.confidence_z);
+    std::vector<SweepResult> results;
+    for (celia::parallel::ThreadPool* pool : {&one, &two, &eight}) {
+      SweepOptions options;
+      options.pool = pool;
+      results.push_back(sweep(model.space, model.capacity, model.hourly,
+                              demand, constraints, options));
+    }
+    ASSERT_TRUE(results[0].any_feasible);
+    ASSERT_GT(results[0].pareto.size(), 1u);
+    expect_bit_identical(results[0], results[1]);
+    expect_bit_identical(results[0], results[2]);
+  }
+}
+
+TEST(Sweep, PrunedParetoMatchesBruteForce) {
+  celia::util::Xoshiro256 rng(4242);
+  celia::parallel::ThreadPool three(3);
+  int with_frontier = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(trial);
+    // Alternate tied and continuous models, each with 1-D and risk-aware
+    // queries.
+    const SmallModel model =
+        small_model(rng, random_limits(rng), /*tied=*/trial % 4 < 2);
+    const double demand = std::pow(10.0, rng.uniform(11.0, 14.0));
+    Constraints constraints;
+    switch (rng.bounded(3)) {
+      case 0:  // deadline only: nearly everything feasible
+        constraints.deadline_seconds = demand / rng.uniform(1e9, 2e10);
+        break;
+      case 1:  // budget only
+        constraints.budget_dollars = rng.uniform(0.01, 5.0);
+        break;
+      case 2:  // both
+        constraints.deadline_seconds = demand / rng.uniform(1e9, 2e10);
+        constraints.budget_dollars = rng.uniform(0.01, 5.0);
+        break;
+    }
+    if (trial % 2 == 1) constraints = risk_aware(constraints);
+
+    const std::vector<CostTimePoint> feasible =
+        brute_force_feasible(model, demand, constraints);
+    SweepOptions options;
+    options.pool = &three;
+    const SweepResult result = sweep(model.space, model.capacity,
+                                     model.hourly, demand, constraints,
+                                     options);
+    ASSERT_EQ(result.feasible, feasible.size());
+    if (feasible.empty()) {
+      EXPECT_TRUE(result.pareto.empty());
+      continue;
+    }
+    EXPECT_EQ(hex(result.pareto), hex(pareto_filter(feasible)));
+    if (result.pareto.size() > 1) ++with_frontier;
+    EXPECT_EQ(hex(result.min_cost),
+              hex(*std::min_element(feasible.begin(), feasible.end(),
+                                    cheaper)));
+    EXPECT_EQ(hex(result.min_time),
+              hex(*std::min_element(feasible.begin(), feasible.end(),
+                                    faster)));
+  }
+  EXPECT_GE(with_frontier, 12);  // the queries are not degenerate
 }
 
 TEST(Sweep, ParetoPointsAreFeasibleAndMutuallyNondominated) {

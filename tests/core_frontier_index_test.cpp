@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cloud/instance_type.hpp"
@@ -177,6 +180,80 @@ TEST(FrontierIndex, BuildIsDeterministic) {
     EXPECT_EQ(a.frontier()[i].u, b.frontier()[i].u);
     EXPECT_EQ(a.frontier()[i].cu, b.frontier()[i].cu);
     EXPECT_EQ(a.frontier()[i].config_index, b.frontier()[i].config_index);
+  }
+}
+
+/// As random_model, but rates and prices are small integer multiples of
+/// one unit: folds are exact and distinct configurations often share the
+/// same (U, Cu) doubles, so the staircase's tie rules are exercised.
+RandomModel tied_model(celia::util::Xoshiro256& rng) {
+  RandomModel model = random_model(rng);
+  std::vector<double> per_vcpu(celia::cloud::catalog_size());
+  for (auto& rate : per_vcpu)
+    rate = 1e9 * static_cast<double>(1 + rng.bounded(3));
+  for (auto& price : model.hourly)
+    price = 0.125 * static_cast<double>(1 + rng.bounded(8));
+  model.capacity =
+      ResourceCapacity(per_vcpu, celia::cloud::Catalog::ec2_table3());
+  return model;
+}
+
+/// As random_model, but only three types are available, each with a large
+/// limit: integer multiples of one mix fold to slopes a few ulps apart, so
+/// the staircase carries the near-tie runs its slope margin keeps. The
+/// space (over 130k configurations) is larger than the build's 65,536-point
+/// seed sample, so pass A's own pruning decides which points it keeps.
+RandomModel multiples_model(celia::util::Xoshiro256& rng) {
+  RandomModel model = random_model(rng);
+  std::vector<int> max_counts(celia::cloud::catalog_size(), 0);
+  for (const std::size_t type : {0, 4, 8})
+    max_counts[type] = 50 + static_cast<int>(rng.bounded(21));
+  model.space = ConfigurationSpace(max_counts);
+  return model;
+}
+
+std::vector<std::string> hex(std::span<const FrontierIndex::Entry> entries) {
+  std::vector<std::string> out;
+  for (const auto& e : entries) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "#%llu %a %a",
+                  static_cast<unsigned long long>(e.config_index), e.u, e.cu);
+    out.push_back(buf);
+  }
+  return out;
+}
+
+TEST(FrontierIndex, PrunedBuildEqualsStaircaseOfEveryPoint) {
+  // The pass-A prune and the seed staircase drop points before they are
+  // buffered; the result must be exactly staircase_filter over all U > 0
+  // configurations, for every pool size.
+  celia::util::Xoshiro256 rng(31337);
+  celia::parallel::ThreadPool one(1), two(2), eight(8);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomModel model = trial % 3 == 0   ? tied_model(rng)
+                              : trial % 3 == 1 ? random_model(rng)
+                                               : multiples_model(rng);
+    std::vector<FrontierIndex::Entry> all;
+    for_each_configuration(
+        model.space, model.capacity, model.hourly,
+        [&](std::uint64_t index, double u, double cu) {
+          if (u > 0) all.push_back({u, cu, index});
+        },
+        &one);
+    const std::vector<FrontierIndex::Entry> expected =
+        detail::staircase_filter(std::move(all));
+
+    std::uint64_t fingerprint = 0;
+    for (celia::parallel::ThreadPool* pool : {&one, &two, &eight}) {
+      FrontierIndex::BuildOptions options;
+      options.pool = pool;
+      const FrontierIndex index = FrontierIndex::build(
+          model.space, model.capacity, model.hourly, options);
+      EXPECT_EQ(hex(index.frontier()), hex(expected));
+      if (pool == &one) fingerprint = index.content_fingerprint();
+      EXPECT_EQ(index.content_fingerprint(), fingerprint);
+    }
   }
 }
 
