@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "cloud/catalog.hpp"
 #include "core/enumerate.hpp"
 #include "core/frontier_index.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -67,15 +69,29 @@ void BM_IndexBuild(benchmark::State& state) {
   celia::parallel::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   FrontierIndex::BuildOptions options;
   options.pool = &pool;
+  // The build's per-pass child spans become per-iteration counters, so the
+  // JSON trail carries the pass split next to the total.
+  const bool was_tracing = celia::obs::tracing_enabled();
+  celia::obs::clear_trace();
+  celia::obs::set_tracing_enabled(true);
   for (auto _ : state) {
     const FrontierIndex index =
         FrontierIndex::build(space, capacity, hourly, options);
     benchmark::DoNotOptimize(index.frontier().size());
   }
+  celia::obs::set_tracing_enabled(was_tracing);
+  std::map<std::string, double> pass_ms;
+  for (const auto& event : celia::obs::trace_snapshot())
+    if (event.name.starts_with("frontier_build."))
+      pass_ms[event.name.substr(15) + "_ms"] +=
+          static_cast<double>(event.dur_us) / 1e3;
+  celia::obs::clear_trace();
+  for (const auto& [name, ms] : pass_ms)
+    state.counters[name] = ms / static_cast<double>(state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(space.size()));
 }
-BENCHMARK(BM_IndexBuild)->Arg(1)->Arg(8)
+BENCHMARK(BM_IndexBuild)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_IndexBuildCatalogScaling(benchmark::State& state) {

@@ -44,6 +44,10 @@ struct PartialResult {
   // tested first. Any feasible point is a valid witness; the initial one
   // dominates nothing.
   CostTimePoint witness{0, kInf, kInf};
+  // Scatter sample: every sample_stride-th feasible point of this walk
+  // (0 = no sampling). Only a walk whose local feasible ranks are the
+  // global ones (block 0) samples here; see the second pass in sweep_impl.
+  std::uint64_t sample_stride = 0;
   std::vector<CostTimePoint> samples;
 
   /// True when a frontier point strictly dominates `point`. The last
@@ -90,7 +94,7 @@ struct PartialResult {
           std::max(kMinRefilter, frontier_size))
         refilter();
     }
-    if (options.sample_stride > 0 && feasible % options.sample_stride == 0)
+    if (sample_stride > 0 && feasible % sample_stride == 0)
       samples.push_back(point);
   }
 };
@@ -301,7 +305,7 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
   const std::vector<double> rates = capacity_rates(capacity);
 
   // Full-instance rate rows for the multi-dimensional walk ([dim][type]);
-  // the scalar path keeps using `rates` through the original walk_range.
+  // the scalar path builds its 1-D plan from `rates`.
   const apps::DemandVector& demand_vec = query.demand_vector();
   std::vector<std::vector<double>> rate_rows;
   if (multi) {
@@ -426,6 +430,7 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
         PartialResult partial;  // block-local: no false sharing
         partial.pareto = seed;
         partial.frontier_size = seed.size();
+        partial.sample_stride = b == 0 ? options.sample_stride : 0;
         auto scratch = std::make_unique<ClassifyScratch>();
         plan.walk(range, [&](std::uint64_t first, std::size_t n,
                              const SweepPlan::Lanes& lanes) {
@@ -446,6 +451,39 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
         partials[b] = std::move(partial);
       },
       for_options);
+
+  // The scatter sample keeps the feasible point of 1-based GLOBAL rank r
+  // when r % sample_stride == 0, so it does not depend on the block
+  // partition. Block 0 sampled during its walk; once every block's
+  // feasible count is known, the other blocks re-classify their range
+  // starting from their global rank offset. Unsampled sweeps skip this.
+  if (options.sample_stride > 0 && blocks.size() > 1) {
+    const std::uint64_t stride = options.sample_stride;
+    std::vector<std::uint64_t> offsets(blocks.size(), 0);
+    for (std::size_t b = 1; b < blocks.size(); ++b)
+      offsets[b] = offsets[b - 1] + partials[b - 1].feasible;
+    parallel::parallel_for(
+        1, blocks.size(),
+        [&](std::uint64_t b) {
+          std::uint64_t rank = offsets[b];
+          std::vector<CostTimePoint>& samples = partials[b].samples;
+          auto scratch = std::make_unique<ClassifyScratch>();
+          plan.walk(blocks[b], [&](std::uint64_t first, std::size_t n,
+                                   const SweepPlan::Lanes& lanes) {
+            const std::size_t hits = classify(lanes, n, *scratch);
+            if (rank % stride + hits < stride) {  // no multiple in batch
+              rank += hits;
+              return;
+            }
+            for_each_set_bit(scratch->mask.data(), n, [&](std::size_t j) {
+              if (++rank % stride == 0)
+                samples.push_back(
+                    {first + j, scratch->seconds[j], scratch->cost[j]});
+            });
+          });
+        },
+        for_options);
+  }
 
   SweepResult result;
   result.total = space.size();

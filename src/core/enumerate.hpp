@@ -13,10 +13,13 @@
 // Per-block partial results (feasible count, running min-cost/min-time
 // points, local Pareto candidates, sampled scatter points) are merged in
 // block order at the end — the classic map-reduce shape of an HPC
-// parameter sweep. Each block drops a point that its Pareto frontier so
-// far strictly dominates before buffering it, and every tie resolves to
-// the lowest config_index, so the answer is bit-identical for any pool
-// size (see DESIGN.md §13, "Exact prune-before-buffer").
+// parameter sweep. Scatter samples are ranked over the global feasible
+// order, so blocks after the first take them in a second pass once every
+// block's feasible count is known. Each block drops a point that its
+// Pareto frontier so far strictly dominates before buffering it, and
+// every tie resolves to the lowest config_index, so the answer is
+// bit-identical for any pool size (see DESIGN.md §13, "Exact
+// prune-before-buffer").
 //
 // Deterministic queries (confidence_z == 0, no sampling) can skip the
 // sweep entirely via the demand-invariant FrontierIndex — see
@@ -135,7 +138,9 @@ std::string_view query_route_name(QueryRoute route);
 
 struct SweepOptions {
   /// Collect every `sample_stride`-th feasible point into
-  /// SweepResult::feasible_points (for scatter plots). 0 disables.
+  /// SweepResult::feasible_points (for scatter plots): the points of
+  /// 1-based feasible rank r, in configuration-index order, with
+  /// r % sample_stride == 0 — the same for any pool size. 0 disables.
   std::uint64_t sample_stride = 0;
   /// Compute the exact Pareto frontier of all feasible points.
   bool collect_pareto = true;
@@ -177,59 +182,6 @@ void validate_model_widths(const ConfigurationSpace& space,
 void validate_demand_dimensions(const ResourceCapacity& capacity,
                                 std::size_t query_dimensions,
                                 const char* who);
-
-/// Walk [range.begin, range.end) invoking body(index, U, Cu, V) for every
-/// configuration, where V is the capacity variance sum_i m_i var_terms[i]
-/// (used by risk-aware selection; var_terms may be all-zero).
-///
-/// Per-element adapter over core::SweepPlan, which owns the batched
-/// odometer/suffix-sum walk (see sweep_plan.hpp for the pinned
-/// accumulation-order contract). Every value passed to `body` depends
-/// only on the configuration, never on `range` or batch boundaries.
-/// Callers that can consume whole lanes (the sweep itself) build a
-/// SweepPlan directly and classify batches with core/simd.hpp kernels.
-template <typename Body>
-void walk_range(const ConfigurationSpace& space, std::span<const double> rates,
-                std::span<const double> hourly,
-                std::span<const double> var_terms, parallel::BlockedRange range,
-                Body&& body) {
-  if (range.empty()) return;
-  const SweepPlan plan(space, rates, hourly, var_terms);
-  plan.walk(range, [&](std::uint64_t first, std::size_t n,
-                       const SweepPlan::Lanes& lanes) {
-    const double* u = lanes.u();
-    const double* cu = lanes.cu;
-    const double* v = lanes.v;  // nullptr when var_terms is all-zero
-    for (std::size_t j = 0; j < n; ++j) {
-      body(first + j, u[j], cu[j], v != nullptr ? v[j] : 0.0);
-    }
-  });
-}
-
-/// Multi-dimensional walk_range: body(index, u, cu) where u is a span of
-/// per-dimension capacities U_d = sum_i m_i W_{i,d}. Per-element adapter
-/// over a multi-row SweepPlan (suffix sums widened to one row per
-/// dimension). The scalar sweep does NOT route through this — 1-D queries
-/// take the 1-D plan verbatim, which is what keeps the degenerate case
-/// bit-identical.
-template <typename Body>
-void walk_range_multi(const ConfigurationSpace& space,
-                      std::span<const std::vector<double>> rate_rows,
-                      std::span<const double> hourly,
-                      parallel::BlockedRange range, Body&& body) {
-  if (range.empty()) return;
-  const SweepPlan plan(space, rate_rows, hourly);
-  const std::size_t dims = plan.num_dimensions();
-  std::vector<double> u(dims);
-  plan.walk(range, [&](std::uint64_t first, std::size_t n,
-                       const SweepPlan::Lanes& lanes) {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t d = 0; d < dims; ++d)
-        u[d] = lanes.u_rows[d * SweepPlan::kBatch + j];
-      body(first + j, std::span<const double>(u), lanes.cu[j]);
-    }
-  });
-}
 
 }  // namespace detail
 
@@ -305,16 +257,18 @@ void for_each_configuration(const ConfigurationSpace& space,
   rates.reserve(capacity.num_types());
   for (std::size_t i = 0; i < capacity.num_types(); ++i)
     rates.push_back(capacity.rate(i));
-  const std::vector<double> zero_var(rates.size(), 0.0);
+  const SweepPlan plan(space, rates, hourly_costs);
   parallel::ForOptions for_options;
   for_options.pool = pool;
   parallel::parallel_for_blocked(
       0, space.size(),
       [&](parallel::BlockedRange range) {
         util::Stopwatch block_timer;
-        detail::walk_range(space, rates, hourly_costs, zero_var, range,
-                           [&visit](std::uint64_t index, double u, double cu,
-                                    double /*v*/) { visit(index, u, cu); });
+        plan.walk(range, [&visit](std::uint64_t first, std::size_t n,
+                                  const SweepPlan::Lanes& lanes) {
+          for (std::size_t j = 0; j < n; ++j)
+            visit(first + j, lanes.u()[j], lanes.cu[j]);
+        });
         block_seconds.record(block_timer.elapsed_seconds());
         blocks_walked.add(1);
         configs_walked.add(range.end - range.begin);

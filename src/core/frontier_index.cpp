@@ -1,10 +1,12 @@
 #include "core/frontier_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <future>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 
@@ -20,14 +22,6 @@ namespace celia::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Strip containing x: fences[0] = 0 and fences.back() = +inf, so every
-/// positive x lands in [0, fences.size() - 2].
-std::size_t strip_of(const std::vector<double>& fences, double x) {
-  const auto it = std::upper_bound(fences.begin(), fences.end(), x);
-  const auto raw = static_cast<std::size_t>(it - fences.begin());
-  return std::min(raw - 1, fences.size() - 2);
-}
 
 /// Quantile fences from a sorted-on-demand sample; interior fences are
 /// sample quantiles, capped by the 0 / +inf sentinels.
@@ -129,6 +123,41 @@ std::uint64_t double_bits(double value) {
   return std::bit_cast<std::uint64_t>(value);
 }
 
+/// One batch's strip lanes, shared by build passes A and B: the slope lane
+/// cu / u (each division exactly rounded, so every double equals the
+/// per-point quotient) and both strip-id lanes.
+struct StripLanes {
+  std::array<double, SweepPlan::kBatch> slope;
+  std::array<std::uint32_t, SweepPlan::kBatch> u_strip;
+  std::array<std::uint32_t, SweepPlan::kBatch> s_strip;
+};
+
+/// Walk `range` of `plan`, classify each batch into strips once, and call
+/// body(index, u, cu, slope, u_strip, s_strip) for every U > 0
+/// configuration in index order.
+template <typename Body>
+void walk_strips(const SweepPlan& plan, parallel::BlockedRange range,
+                 const detail::StripLocator& u_locate,
+                 const detail::StripLocator& s_locate, Body&& body) {
+  auto strips = std::make_unique<StripLanes>();
+  plan.walk(range, [&](std::uint64_t first, std::size_t n,
+                       const SweepPlan::Lanes& lanes) {
+    const double* u = lanes.u();
+    const double* cu = lanes.cu;
+    for (std::size_t j = 0; j < n; ++j) strips->slope[j] = cu[j] / u[j];
+    for (std::size_t j = 0; j < n; ++j)
+      strips->u_strip[j] = static_cast<std::uint32_t>(u_locate(u[j]));
+    for (std::size_t j = 0; j < n; ++j)
+      strips->s_strip[j] =
+          static_cast<std::uint32_t>(s_locate(strips->slope[j]));
+    for (std::size_t j = 0; j < n; ++j) {
+      if (u[j] <= 0) continue;
+      body(first + j, u[j], cu[j], strips->slope[j], strips->u_strip[j],
+           strips->s_strip[j]);
+    }
+  });
+}
+
 }  // namespace
 
 namespace detail {
@@ -158,6 +187,34 @@ std::vector<FrontierIndex::Entry> staircase_filter(
   return kept;
 }
 
+StripLocator::StripLocator(std::span<const double> fences)
+    : interior_(fences.begin() + 1, fences.end() - 1) {
+  if (interior_.empty()) return;  // one strip: every x maps to 0
+  const auto magnitude = [](double fence) {
+    return double_bits(fence) & kMagnitude;
+  };
+  first_ = interior_.front();
+  first_bits_ = magnitude(first_);
+  // 8 buckets per strip over the interior fences' bit range. The bucket
+  // count depends only on the grid, so the directory's size (and the
+  // index's byte accounting) does not depend on the fence values.
+  const std::uint64_t width = magnitude(interior_.back()) - first_bits_;
+  const std::uint64_t buckets = 8 * (interior_.size() + 1);
+  while ((width >> shift_) >= buckets) ++shift_;
+  last_bucket_ = buckets - 1;
+  // dir_[k] = strip of bucket k's lower bound first_bits_ + k * 2^shift_:
+  // a lower bound on the strip of every x in bucket k, and an upper bound
+  // on the strip of every x in bucket k - 1.
+  dir_.assign(buckets + 1, 0);
+  std::size_t count = 0;
+  for (std::uint64_t k = 0; k < dir_.size(); ++k) {
+    const std::uint64_t bound = first_bits_ + (k << shift_);
+    while (count < interior_.size() && magnitude(interior_[count]) <= bound)
+      ++count;
+    dir_[k] = static_cast<std::uint32_t>(count);
+  }
+}
+
 }  // namespace detail
 
 using detail::staircase_filter;
@@ -178,6 +235,8 @@ struct FrontierIndex::GridStore {
   std::size_t grid = 0;
   std::vector<double> u_fences;             // grid + 1, [0, ..., +inf]
   std::vector<double> s_fences;             // grid + 1, [0, ..., +inf]
+  detail::StripLocator u_locate;            // strip of a U value
+  detail::StripLocator s_locate;            // strip of a slope value
   std::vector<std::uint64_t> u_offsets;     // grid + 1
   std::vector<std::uint64_t> s_offsets;     // grid + 1
   std::vector<std::uint64_t> matrix;        // (grid+1)^2, suffix-U/prefix-s
@@ -203,7 +262,8 @@ std::size_t FrontierIndex::GridStore::bytes() const {
           pu_idx.capacity()) *
              sizeof(std::uint64_t) +
          ps_pos.capacity() * sizeof(std::uint32_t) +
-         candidates.capacity() * sizeof(Entry);
+         candidates.capacity() * sizeof(Entry) + u_locate.bytes() +
+         s_locate.bytes();
 }
 
 /// Recompute s_offsets + ps_pos from the pu lanes (serial; delta paths
@@ -212,14 +272,14 @@ void FrontierIndex::GridStore::rebuild_s_grouping() {
   const std::size_t count = pu_u.size();
   std::vector<std::uint64_t> hist(grid, 0);
   for (std::size_t pos = 0; pos < count; ++pos)
-    ++hist[strip_of(s_fences, pu_cu[pos] / pu_u[pos])];
+    ++hist[s_locate(pu_cu[pos] / pu_u[pos])];
   s_offsets.assign(grid + 1, 0);
   for (std::size_t j = 0; j < grid; ++j)
     s_offsets[j + 1] = s_offsets[j] + hist[j];
   ps_pos.resize(count);
   std::vector<std::uint64_t> cursor(s_offsets.begin(), s_offsets.end() - 1);
   for (std::size_t pos = 0; pos < count; ++pos) {
-    const std::size_t j = strip_of(s_fences, pu_cu[pos] / pu_u[pos]);
+    const std::size_t j = s_locate(pu_cu[pos] / pu_u[pos]);
     ps_pos[cursor[j]++] = static_cast<std::uint32_t>(pos);
   }
 }
@@ -231,7 +291,7 @@ void FrontierIndex::GridStore::recount_matrix() {
   for (std::size_t i = 0; i < grid; ++i) {
     std::uint64_t* row = hist2d.data() + i * grid;
     for (std::uint64_t p = u_offsets[i]; p < u_offsets[i + 1]; ++p)
-      ++row[strip_of(s_fences, pu_cu[p] / pu_u[p])];
+      ++row[s_locate(pu_cu[p] / pu_u[p])];
   }
   const std::size_t width = grid + 1;
   matrix.assign(width * width, 0);
@@ -307,7 +367,6 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
 
   const std::vector<double>& rates = index.rates_;
   const std::vector<double>& hourly = index.hourly_;
-  const std::vector<double> zero_var(rates.size(), 0.0);
   parallel::ThreadPool& pool =
       options.pool ? *options.pool : parallel::default_pool();
 
@@ -330,6 +389,7 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   // them and can seed every block's pruning frontier.
   std::vector<Entry> seed;
   {
+    obs::Span span("frontier_build.fences", "planner");
     const std::uint64_t target = std::min<std::uint64_t>(n, 65536);
     const std::uint64_t stride = std::max<std::uint64_t>(1, n / target);
     std::vector<double> u_sample, s_sample;
@@ -346,8 +406,22 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
     }
     store->u_fences = make_fences(std::move(u_sample), grid);
     store->s_fences = make_fences(std::move(s_sample), grid);
+    store->u_locate = detail::StripLocator(store->u_fences);
+    store->s_locate = detail::StripLocator(store->s_fences);
     seed = staircase_filter(std::move(seed));
   }
+
+  // Passes A and B walk one plan over the same blocks; walk_strips hands
+  // both the same per-batch slope and strip lanes.
+  const SweepPlan plan(space, rates, hourly);
+  const auto blocks = parallel::split_range(0, n, pool.num_threads());
+  const auto run_blocks = [&](const auto& task) {
+    std::vector<std::future<void>> futures;
+    futures.reserve(blocks.size());
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+      futures.push_back(pool.submit([&task, b] { task(b); }));
+    for (auto& f : futures) f.get();
+  };
 
   // Pass A: per-block strip histograms + staircase candidates. A point
   // whose slope exceeds the block staircase's suffix-min slope above its U
@@ -355,7 +429,6 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   // staircase_filter over a superset meets those larger-U entries first,
   // so its running best slope is already that low and it would never keep
   // the point (DESIGN.md §13, "Exact prune-before-buffer").
-  const auto blocks = parallel::split_range(0, n, pool.num_threads());
   struct BlockStats {
     std::vector<std::uint64_t> hist_u, hist_s;
     // frontier[0, staircase) is the latest staircase_filter output
@@ -391,32 +464,26 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   };
   std::vector<BlockStats> stats(blocks.size());
   {
-    std::vector<std::future<void>> futures;
-    futures.reserve(blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      futures.push_back(pool.submit([&, b] {
-        BlockStats local;  // block-local: no false sharing
-        local.hist_u.assign(grid, 0);
-        local.hist_s.assign(grid, 0);
-        local.frontier = seed;
-        local.refilter();
-        detail::walk_range(
-            space, rates, hourly, zero_var, blocks[b],
-            [&](std::uint64_t idx, double u, double cu, double /*v*/) {
-              if (u <= 0) return;
-              const double slope = cu / u;
-              ++local.hist_u[strip_of(store->u_fences, u)];
-              ++local.hist_s[strip_of(store->s_fences, slope)];
-              if (local.pruned(u, slope)) return;
-              local.frontier.push_back({u, cu, idx});
-              if (local.frontier.size() - local.staircase >=
-                  std::max(kMinRefilter, local.staircase))
-                local.refilter();
-            });
-        stats[b] = std::move(local);
-      }));
-    }
-    for (auto& f : futures) f.get();
+    obs::Span span("frontier_build.pass_a", "planner");
+    run_blocks([&](std::size_t b) {
+      BlockStats local;  // block-local: no false sharing
+      local.hist_u.assign(grid, 0);
+      local.hist_s.assign(grid, 0);
+      local.frontier = seed;
+      local.refilter();
+      walk_strips(plan, blocks[b], store->u_locate, store->s_locate,
+                  [&](std::uint64_t idx, double u, double cu, double slope,
+                      std::uint32_t u_strip, std::uint32_t s_strip) {
+                    ++local.hist_u[u_strip];
+                    ++local.hist_s[s_strip];
+                    if (local.pruned(u, slope)) return;
+                    local.frontier.push_back({u, cu, idx});
+                    if (local.frontier.size() - local.staircase >=
+                        std::max(kMinRefilter, local.staircase))
+                      local.refilter();
+                  });
+      stats[b] = std::move(local);
+    });
   }
 
   // Strip offsets plus per-(block, strip) scatter cursors: deterministic
@@ -456,38 +523,34 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
 
   // Pass B: scatter the SoA point lanes (u-strip grouping) and record each
   // point's lane position in the s-strip grouping.
-  store->pu_u.resize(index.positive_);
-  store->pu_cu.resize(index.positive_);
-  store->pu_idx.resize(index.positive_);
-  store->ps_pos.resize(index.positive_);
   {
-    std::vector<std::future<void>> futures;
-    futures.reserve(blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      futures.push_back(pool.submit([&, b] {
-        std::vector<std::uint64_t>& cu_cursor = cursor_u[b];
-        std::vector<std::uint64_t>& cs_cursor = cursor_s[b];
-        detail::walk_range(
-            space, rates, hourly, zero_var, blocks[b],
-            [&](std::uint64_t idx, double u, double cu, double /*v*/) {
-              if (u <= 0) return;
-              const std::uint64_t pos =
-                  cu_cursor[strip_of(store->u_fences, u)]++;
-              store->pu_u[pos] = u;
-              store->pu_cu[pos] = cu;
-              store->pu_idx[pos] = idx;
-              store->ps_pos[cs_cursor[strip_of(store->s_fences, cu / u)]++] =
-                  static_cast<std::uint32_t>(pos);
-            });
-      }));
-    }
-    for (auto& f : futures) f.get();
+    obs::Span span("frontier_build.pass_b", "planner");
+    store->pu_u.resize(index.positive_);
+    store->pu_cu.resize(index.positive_);
+    store->pu_idx.resize(index.positive_);
+    store->ps_pos.resize(index.positive_);
+    run_blocks([&](std::size_t b) {
+      std::vector<std::uint64_t>& cu_cursor = cursor_u[b];
+      std::vector<std::uint64_t>& cs_cursor = cursor_s[b];
+      walk_strips(plan, blocks[b], store->u_locate, store->s_locate,
+                  [&](std::uint64_t idx, double u, double cu,
+                      double /*slope*/, std::uint32_t u_strip,
+                      std::uint32_t s_strip) {
+                    const std::uint64_t pos = cu_cursor[u_strip]++;
+                    store->pu_u[pos] = u;
+                    store->pu_cu[pos] = cu;
+                    store->pu_idx[pos] = idx;
+                    store->ps_pos[cs_cursor[s_strip]++] =
+                        static_cast<std::uint32_t>(pos);
+                  });
+    });
   }
 
   // Pass C: per-u-strip slope histogram (each row owned by one task), then
   // the (suffix-in-U, prefix-in-s) count matrix.
-  std::vector<std::uint64_t> hist2d(grid * grid, 0);
   {
+    obs::Span span("frontier_build.pass_c", "planner");
+    std::vector<std::uint64_t> hist2d(grid * grid, 0);
     parallel::ForOptions fo;
     fo.pool = &pool;
     parallel::parallel_for(
@@ -496,32 +559,34 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
           std::uint64_t* row = hist2d.data() + i * grid;
           for (std::uint64_t p = store->u_offsets[i];
                p < store->u_offsets[i + 1]; ++p)
-            ++row[strip_of(store->s_fences,
-                           store->pu_cu[p] / store->pu_u[p])];
+            ++row[store->s_locate(store->pu_cu[p] / store->pu_u[p])];
         },
         fo);
-  }
-  const std::size_t width = grid + 1;
-  store->matrix.assign(width * width, 0);
-  for (std::size_t i = grid; i-- > 0;) {
-    std::uint64_t run = 0;
-    for (std::size_t j = 1; j <= grid; ++j) {
-      run += hist2d[i * grid + (j - 1)];
-      store->matrix[i * width + j] =
-          store->matrix[(i + 1) * width + j] + run;
+    const std::size_t width = grid + 1;
+    store->matrix.assign(width * width, 0);
+    for (std::size_t i = grid; i-- > 0;) {
+      std::uint64_t run = 0;
+      for (std::size_t j = 1; j <= grid; ++j) {
+        run += hist2d[i * grid + (j - 1)];
+        store->matrix[i * width + j] =
+            store->matrix[(i + 1) * width + j] + run;
+      }
     }
   }
 
   // Merge per-block staircase candidates into the final frontier, then
   // derive the wide candidate set from it.
-  std::vector<Entry> candidates;
-  for (auto& local : stats) {
-    candidates.insert(candidates.end(), local.frontier.begin(),
-                      local.frontier.end());
-    local.frontier.clear();
+  {
+    obs::Span span("frontier_build.merge", "planner");
+    std::vector<Entry> candidates;
+    for (auto& local : stats) {
+      candidates.insert(candidates.end(), local.frontier.begin(),
+                        local.frontier.end());
+      local.frontier.clear();
+    }
+    index.frontier_ = staircase_filter(std::move(candidates));
+    store->select_candidates(index.frontier_);
   }
-  index.frontier_ = staircase_filter(std::move(candidates));
-  store->select_candidates(index.frontier_);
   index.store_ = std::move(store);
   build_seconds.record(build_timer.elapsed_seconds());
   return index;
@@ -702,6 +767,8 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
   next->grid = grid;
   next->u_fences = old_store.u_fences;
   next->s_fences = old_store.s_fences;
+  next->u_locate = old_store.u_locate;
+  next->s_locate = old_store.s_locate;
   next->anchor_hourly = old_store.anchor_hourly;
   next->u_offsets.assign(grid + 1, 0);
   std::vector<Entry> extras;

@@ -27,13 +27,14 @@
 //     per-point sweep predicates. O(log S + sqrt(S)) per query vs O(S).
 //
 // Exactness: U and Cu are the same doubles the sweep computes (both come
-// from detail::walk_range), the deadline side of the grid classification
-// is exact (division is monotone), and every point in a partial strip or
-// in the staircase range is re-tested with bit-identical predicates. The
-// only divergence from sweep() is for points whose cost lies within a few
-// ulps of a constraint boundary (the budget-side strip classification and
-// the staircase range end use a slope-form bound) — a measure-zero event
-// for real-valued inputs, validated against sweep() by the property tests.
+// from the same core::SweepPlan walk), the deadline side of the grid
+// classification is exact (division is monotone), and every point in a
+// partial strip or in the staircase range is re-tested with bit-identical
+// predicates. The only divergence from sweep() is for points whose cost
+// lies within a few ulps of a constraint boundary (the budget-side strip
+// classification and the staircase range end use a slope-form bound) — a
+// measure-zero event for real-valued inputs, validated against sweep() by
+// the property tests.
 //
 // Risk-aware queries (confidence_z > 0) change the effective capacity per
 // configuration and keep the sweep path; see SweepOptions.
@@ -64,7 +65,10 @@
 // Both return std::nullopt whenever the edit falls outside their provable
 // envelope; callers (PlannerEngine) treat nullopt as "full rebuild".
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -253,6 +257,62 @@ namespace detail {
 /// build's frontier equals this filter over every U > 0 configuration.
 std::vector<FrontierIndex::Entry> staircase_filter(
     std::vector<FrontierIndex::Entry> entries);
+
+/// Exact O(1) strip lookup over one quantile fence vector (fences[0] = 0,
+/// fences.back() = +inf, non-decreasing, non-negative; at least two
+/// entries). For every x >= 0, including +inf, (*this)(x) equals
+///
+///     min(upper_bound(fences, x) - fences.begin() - 1, fences.size() - 2)
+///
+/// i.e. the number of interior fences fences[1 .. size-2] that are <= x.
+/// A directory of 8 buckets per strip over the uint64 bit patterns of the
+/// interior fences (non-negative doubles order like their bits) gives a
+/// lower bound dir[k] and an upper bound dir[k + 1] for the answer; a short
+/// scan, or a binary search when duplicate fences crowd one bucket,
+/// finishes inside that range. Worst case O(log strips). DESIGN.md §13,
+/// "Exact strip lookup".
+class StripLocator {
+ public:
+  /// One strip: every x maps to 0.
+  StripLocator() = default;
+  explicit StripLocator(std::span<const double> fences);
+
+  std::size_t operator()(double x) const {
+    if (!(x >= first_)) return 0;  // below fences[1]; covers 0 and -0.0
+    // Clearing the sign bit maps -0.0 to +0.0 (x >= first_ >= 0 here).
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x) & kMagnitude;
+    const std::uint64_t k =
+        std::min((bits - first_bits_) >> shift_, last_bucket_);
+    std::size_t lo = dir_[k];
+    const std::size_t hi = dir_[k + 1];
+    if (hi - lo > kScan)
+      return static_cast<std::size_t>(
+          std::upper_bound(interior_.begin() + static_cast<std::ptrdiff_t>(lo),
+                           interior_.begin() + static_cast<std::ptrdiff_t>(hi),
+                           x) -
+          interior_.begin());
+    while (lo < hi && interior_[lo] <= x) ++lo;
+    return lo;
+  }
+
+  /// Directory plus interior-fence bytes.
+  std::size_t bytes() const {
+    return dir_.capacity() * sizeof(std::uint32_t) +
+           interior_.capacity() * sizeof(double);
+  }
+
+ private:
+  static constexpr std::uint64_t kMagnitude = ~(std::uint64_t{1} << 63);
+  /// Widest candidate range finished by a linear scan.
+  static constexpr std::size_t kScan = 8;
+
+  std::vector<double> interior_;             // fences[1 .. size-2]
+  std::vector<std::uint32_t> dir_ = {0, 0};  // last_bucket_ + 2 entries
+  double first_ = std::numeric_limits<double>::infinity();
+  std::uint64_t first_bits_ = 0;
+  std::uint64_t last_bucket_ = 0;
+  unsigned shift_ = 0;
+};
 
 }  // namespace detail
 

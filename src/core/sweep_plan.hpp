@@ -19,10 +19,10 @@
 //     fold = ((0 + d_{M-1} w_{M-1}) + ... + d_1 w_1)   // right-to-left
 //     value = fold + w_0 + w_0 + ... (d_0 times)       // chained adds
 //
-// exactly as detail::walk_range has always computed it. fold_tail/
-// fold_value expose that canonical order so the FrontierIndex delta paths
-// can recompute a configuration's Cu at new prices bit-identically to
-// what a from-scratch walk would produce.
+// exactly as the scalar per-configuration walk always computed it.
+// fold_tail/fold_value expose that canonical order so the FrontierIndex
+// delta paths can recompute a configuration's Cu at new prices
+// bit-identically to what a from-scratch walk would produce.
 
 #include <cstdint>
 #include <span>

@@ -238,9 +238,9 @@ TEST(Sweep, SampledScatterRespectsStride) {
   options.collect_pareto = false;
   const SweepResult result =
       sweep(space, capacity, 1e12, Constraints{}, options);
-  EXPECT_NEAR(static_cast<double>(result.feasible_points.size()),
-              static_cast<double>(result.feasible) / 100.0,
-              static_cast<double>(result.feasible) / 100.0 * 0.2 + 20);
+  // Ranks are global, so the sample holds exactly floor(feasible / stride)
+  // points whatever the pool size.
+  EXPECT_EQ(result.feasible_points.size(), result.feasible / 100);
 }
 
 TEST(Sweep, DeterministicAcrossRuns) {
@@ -282,6 +282,46 @@ TEST(Sweep, BitIdenticalAcrossThreadCounts) {
     ASSERT_GT(results[0].pareto.size(), 1u);
     expect_bit_identical(results[0], results[1]);
     expect_bit_identical(results[0], results[2]);
+  }
+}
+
+TEST(Sweep, SamplesIdenticalAcrossThreadCounts) {
+  // The scatter sample keeps the feasible points of 1-based global rank
+  // r with r % stride == 0, in index order: the same points for any block
+  // partition, bit for bit equal to every stride-th brute-force point.
+  celia::util::Xoshiro256 rng(5150);
+  celia::parallel::ThreadPool one(1), two(2), eight(8);
+  for (const bool tied : {true, false}) {
+    SCOPED_TRACE(tied);
+    const SmallModel model = small_model(
+        rng, std::vector<int>(celia::cloud::catalog_size(), 3), tied);
+    Constraints constraints;
+    constraints.deadline_seconds = 3600.0;
+    const double demand = 2e13;
+    std::vector<CostTimePoint> feasible =
+        brute_force_feasible(model, demand, constraints);
+    std::sort(feasible.begin(), feasible.end(),
+              [](const CostTimePoint& a, const CostTimePoint& b) {
+                return a.config_index < b.config_index;
+              });
+    for (const std::uint64_t stride : {1u, 7u, 1000u}) {
+      SCOPED_TRACE(stride);
+      std::vector<CostTimePoint> expected;
+      for (std::size_t r = 1; r <= feasible.size(); ++r)
+        if (r % stride == 0) expected.push_back(feasible[r - 1]);
+      ASSERT_FALSE(expected.empty());
+      for (celia::parallel::ThreadPool* pool : {&one, &two, &eight}) {
+        SweepOptions options;
+        options.pool = pool;
+        options.sample_stride = stride;
+        const SweepResult result = sweep(model.space, model.capacity,
+                                         model.hourly, demand, constraints,
+                                         options);
+        EXPECT_EQ(result.feasible, feasible.size());
+        // CostTimePoint's operator== compares all three fields exactly.
+        EXPECT_TRUE(result.feasible_points == expected);
+      }
+    }
   }
 }
 

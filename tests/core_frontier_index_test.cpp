@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -253,6 +254,70 @@ TEST(FrontierIndex, PrunedBuildEqualsStaircaseOfEveryPoint) {
       EXPECT_EQ(hex(index.frontier()), hex(expected));
       if (pool == &one) fingerprint = index.content_fingerprint();
       EXPECT_EQ(index.content_fingerprint(), fingerprint);
+    }
+  }
+}
+
+/// The build's interior u-fences, drawn as the build draws them: quantiles
+/// of the U > 0 values of every stride-th configuration, with stride
+/// n / min(n, 65536).
+std::vector<double> reference_u_fences(const RandomModel& model,
+                                       std::size_t grid) {
+  const std::uint64_t n = model.space.size();
+  std::vector<double> all_u(n);
+  for_each_configuration(model.space, model.capacity, model.hourly,
+                         [&](std::uint64_t index, double u, double) {
+                           all_u[index] = u;
+                         });
+  const std::uint64_t stride =
+      std::max<std::uint64_t>(1, n / std::min<std::uint64_t>(n, 65536));
+  std::vector<double> sample;
+  for (std::uint64_t i = 0; i < n; i += stride)
+    if (all_u[i] > 0) sample.push_back(all_u[i]);
+  std::sort(sample.begin(), sample.end());
+  std::vector<double> fences;
+  for (std::size_t k = 1; k < grid; ++k)
+    fences.push_back(sample[(k * sample.size()) / grid]);
+  return fences;
+}
+
+TEST(FrontierIndex, CountsExactOnUFencesForEveryPool) {
+  // Deadlines demand / fence put the deadline boundary exactly on a strip
+  // fence, where the build's strip lookup decides which side each point of
+  // the partial strip lands on. Tied and integer-multiple models repeat
+  // fence values. Every pool size must give the same frontier and the
+  // sweep's exact count.
+  celia::util::Xoshiro256 rng(8086);
+  celia::parallel::ThreadPool one(1), two(2), eight(8);
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomModel model =
+        trial % 2 == 0 ? tied_model(rng) : multiples_model(rng);
+    const double demand = 1e13;
+    std::vector<FrontierIndex> indexes;
+    for (celia::parallel::ThreadPool* pool : {&one, &two, &eight}) {
+      FrontierIndex::BuildOptions options;
+      options.pool = pool;
+      indexes.push_back(FrontierIndex::build(model.space, model.capacity,
+                                             model.hourly, options));
+      EXPECT_EQ(indexes.back().content_fingerprint(),
+                indexes.front().content_fingerprint());
+    }
+    const std::vector<double> fences =
+        reference_u_fences(model, indexes.front().grid_resolution());
+    const std::size_t step = std::max<std::size_t>(1, fences.size() / 24);
+    for (std::size_t k = 0; k < fences.size(); k += step) {
+      SCOPED_TRACE(fences[k]);
+      for (const double budget : {kInf, 2.0}) {
+        Constraints constraints;
+        constraints.deadline_seconds = demand / fences[k];
+        constraints.budget_dollars = budget;
+        const SweepResult expected = sweep(model.space, model.capacity,
+                                           model.hourly, demand, constraints);
+        for (const FrontierIndex& index : indexes)
+          EXPECT_EQ(index.query(demand, constraints, false).feasible,
+                    expected.feasible);
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 // Tests for the obs tracing layer: span recording and nesting, explicit
 // simulated-time events, the chrome://tracing JSON exporter, buffer
-// overflow accounting, and the executor's Gantt instrumentation
-// (execute_with_faults exporting task/redispatch/checkpoint events).
+// overflow accounting, the executor's Gantt instrumentation
+// (execute_with_faults exporting task/redispatch/checkpoint events) and the
+// FrontierIndex build's per-pass spans.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "cloud/cluster_exec.hpp"
 #include "cloud/provider.hpp"
+#include "core/frontier_index.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -256,6 +258,49 @@ TEST_F(ObsTrace, InertFaultRunRecordsNoExecEvents) {
   // The inert model takes the legacy execute() path before any
   // instrumentation, so the trace stays empty (bit-identity guard).
   EXPECT_TRUE(obs::trace_snapshot().empty());
+}
+
+TEST_F(ObsTrace, FrontierBuildEmitsOneSpanPerPass) {
+  const celia::core::ConfigurationSpace space(std::vector<int>(9, 2));
+  const celia::core::ResourceCapacity capacity(
+      std::vector<double>(9, 1.2e9), Catalog::ec2_table3());
+  celia::parallel::ThreadPool pool(2);
+  celia::core::FrontierIndex::BuildOptions options;
+  options.pool = &pool;
+  (void)celia::core::FrontierIndex::build(space, capacity, options);
+
+  const auto events = obs::trace_snapshot();
+  const auto parent = std::find_if(
+      events.begin(), events.end(),
+      [](const obs::TraceEvent& e) { return e.name == "frontier_build"; });
+  ASSERT_NE(parent, events.end());
+  ASSERT_EQ(count_named(events, "frontier_build"), 1u);
+  std::vector<obs::TraceEvent> children;
+  for (const auto& e : events)
+    if (e.name.starts_with("frontier_build.")) children.push_back(e);
+  std::sort(children.begin(), children.end(),
+            [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+              return a.ts_us < b.ts_us;
+            });
+  const std::vector<std::string> expected = {
+      "frontier_build.fences", "frontier_build.pass_a",
+      "frontier_build.pass_b", "frontier_build.pass_c",
+      "frontier_build.merge"};
+  ASSERT_EQ(children.size(), expected.size());
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    SCOPED_TRACE(children[i].name);
+    EXPECT_EQ(children[i].name, expected[i]);
+    EXPECT_EQ(children[i].category, "planner");
+    EXPECT_EQ(children[i].tid, parent->tid);
+    EXPECT_EQ(children[i].depth, parent->depth + 1);
+    // Inside the parent, and no overlap with the previous pass.
+    EXPECT_GE(children[i].ts_us, parent->ts_us);
+    EXPECT_LE(children[i].ts_us + children[i].dur_us,
+              parent->ts_us + parent->dur_us);
+    if (i > 0)
+      EXPECT_GE(children[i].ts_us,
+                children[i - 1].ts_us + children[i - 1].dur_us);
+  }
 }
 
 }  // namespace
