@@ -5,9 +5,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_io.hpp"
@@ -165,6 +171,73 @@ void BM_IndexQueryPareto(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_IndexQueryPareto)->Unit(benchmark::kMicrosecond);
+
+/// 4,096 distinct seeded queries drawn as the end-to-end benchmark draws
+/// its served mix: demand scaled by 2^U(-2, 2), deadline and budget drawn
+/// between the unconstrained cheapest and fastest points and scaled with
+/// the demand.
+std::vector<std::pair<double, Constraints>> distinct_queries(
+    const FrontierIndex& index, double base_demand) {
+  const SweepResult probe = index.query(base_demand, Constraints{}, false);
+  const CostTimePoint& cheapest = probe.min_cost;
+  const CostTimePoint& fastest = probe.min_time;
+  std::mt19937_64 rng(20170805);
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  std::vector<std::pair<double, Constraints>> queries(4096);
+  for (auto& [demand, c] : queries) {
+    const double scale = std::exp2(uniform(-2.0, 2.0));
+    c.deadline_seconds =
+        scale * uniform(1.2 * fastest.seconds, 1.5 * cheapest.seconds);
+    c.budget_dollars = scale * uniform(1.2 * cheapest.cost, 1.5 * fastest.cost);
+    demand = base_demand * scale;
+  }
+  return queries;
+}
+
+void BM_IndexQueryDistinct(benchmark::State& state) {
+  // Arg(0): a fresh index. Arg(1): the index repriced() returns after one
+  // in-band tick (each price +-2%), the one the engine serves after every
+  // price move. Unlike the repeated queries above, every iteration asks a
+  // different question, so the partial strips it scans are cold.
+  const auto space = ConfigurationSpace::ec2_default();
+  const auto capacity = bench_capacity();
+  const std::vector<double> hourly = ec2_hourly_costs();
+  const FrontierIndex fresh = FrontierIndex::build(space, capacity, hourly);
+  std::optional<FrontierIndex> repriced;
+  if (state.range(0) == 1) {
+    std::vector<double> tick = hourly;
+    for (std::size_t i = 0; i < tick.size(); ++i)
+      tick[i] *= i % 2 == 0 ? 1.02 : 0.98;
+    repriced = fresh.repriced(std::span<const double>(tick));
+    if (!repriced) {
+      state.SkipWithError("reprice delta refused an in-band tick");
+      return;
+    }
+  }
+  const FrontierIndex& index = repriced ? *repriced : fresh;
+  const auto queries = distinct_queries(index, 9e15);
+  std::vector<double> us;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [demand, constraints] = queries[next++ % queries.size()];
+    const auto t0 = std::chrono::steady_clock::now();
+    const SweepResult result =
+        index.query(demand, constraints, /*collect_pareto=*/false);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(result.feasible);
+    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  }
+  std::sort(us.begin(), us.end());
+  if (!us.empty()) {
+    state.counters["p50_us"] = us[us.size() / 2];
+    state.counters["p99_us"] = us[us.size() * 99 / 100];
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_IndexQueryDistinct)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_CachedIndexSweepFastPath(benchmark::State& state) {
   // sweep() with IndexPolicy::Shared(): the API most callers hit. First call

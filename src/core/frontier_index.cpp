@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "core/query.hpp"
+#include "core/simd.hpp"
 #include "core/sweep_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -67,6 +68,12 @@ constexpr double kRepriceBand = 1.10;
 /// larger than the few-ulp error it covers, orders smaller than the
 /// kWideKappa / kRepriceBand headroom it spends.
 constexpr double kRetestSlack = 1e-9;
+/// The query screens certify a point with kRetestSlack, which covers
+/// relative rounding only. They engage when the demand, the budget and
+/// every U they judge lie in this range, so no quotient or product on the
+/// way to a cost can underflow (DESIGN.md §13, "Ordered s-strips").
+constexpr double kScreenMin = 0x1p-400;
+constexpr double kScreenMax = 0x1p400;
 /// Caps keeping the delta structures bounded: a store whose candidate set
 /// (or with_limit screen) exceeds these is declared not delta-capable and
 /// the caller falls back to a full rebuild.
@@ -121,6 +128,45 @@ std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
 
 std::uint64_t double_bits(double value) {
   return std::bit_cast<std::uint64_t>(value);
+}
+
+/// A point's order key inside its s-strip: its slope rounded to float.
+/// Rounding is monotone, so keys ascend with slopes (equal keys aside),
+/// and the slope lies strictly between the key's two float neighbours.
+float slope_key(double slope) { return static_cast<float>(slope); }
+
+/// sweep()'s per-point feasibility predicates, bit for bit.
+bool feasible_point(double demand, double deadline, double budget, double u,
+                    double cu) {
+  const double seconds = demand / u;
+  if (!(seconds < deadline)) return false;
+  return seconds / 3600.0 * cu < budget;
+}
+
+/// First index in [lo, hi) where `pred` holds, for a predicate that is
+/// false on a prefix and true on the rest; hi when it never holds.
+template <typename Pred>
+std::uint64_t first_true(std::uint64_t lo, std::uint64_t hi, Pred&& pred) {
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (pred(mid))
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  return lo;
+}
+
+/// Order-preserving uint32 image of a float (negative values flip every
+/// bit, non-negative ones the sign bit), and its inverse. Adding +0.0 maps
+/// -0.0 onto +0.0 first, so keys that compare equal map equal.
+std::uint32_t ordered_bits(float key) {
+  const auto bits = std::bit_cast<std::uint32_t>(key + 0.0f);
+  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+}
+float from_ordered_bits(std::uint32_t bits) {
+  return std::bit_cast<float>((bits & 0x80000000u) != 0 ? bits & 0x7fffffffu
+                                                        : ~bits);
 }
 
 /// One batch's strip lanes, shared by build passes A and B: the slope lane
@@ -215,6 +261,51 @@ StripLocator::StripLocator(std::span<const double> fences)
   }
 }
 
+void order_segments_by_key(std::span<const std::uint64_t> offsets,
+                           std::span<float> keys,
+                           std::span<std::uint32_t> values) {
+  if (offsets.size() < 2) return;
+  std::size_t widest = 0;
+  for (std::size_t j = 0; j + 1 < offsets.size(); ++j)
+    widest = std::max<std::size_t>(widest, offsets[j + 1] - offsets[j]);
+  // Ping-pong buffers: key and value lanes, two of each.
+  std::vector<std::uint32_t> scratch(4 * widest);
+  for (std::size_t j = 0; j + 1 < offsets.size(); ++j) {
+    const std::size_t first = offsets[j];
+    const std::size_t n = offsets[j + 1] - first;
+    if (n < 2) continue;
+    std::uint32_t* key = scratch.data();
+    std::uint32_t* value = key + n;
+    std::uint32_t* key_out = value + n;
+    std::uint32_t* value_out = key_out + n;
+    std::uint32_t varies = 0;  // bits in which some key differs from the first
+    for (std::size_t i = 0; i < n; ++i) {
+      key[i] = ordered_bits(keys[first + i]);
+      value[i] = values[first + i];
+      varies |= key[i] ^ key[0];
+    }
+    if (varies == 0) continue;  // all keys equal: already in order
+    for (unsigned shift = 0; shift < 32; shift += 8) {
+      if (((varies >> shift) & 0xffu) == 0) continue;
+      std::array<std::uint32_t, 257> start{};
+      for (std::size_t i = 0; i < n; ++i)
+        ++start[((key[i] >> shift) & 0xffu) + 1];
+      for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t at = start[(key[i] >> shift) & 0xffu]++;
+        key_out[at] = key[i];
+        value_out[at] = value[i];
+      }
+      std::swap(key, key_out);
+      std::swap(value, value_out);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[first + i] = from_ordered_bits(key[i]);
+      values[first + i] = value[i];
+    }
+  }
+}
+
 }  // namespace detail
 
 using detail::staircase_filter;
@@ -230,7 +321,10 @@ using detail::staircase_filter;
 // Point layout: pu_u/pu_cu/pu_idx are parallel lanes holding every U > 0
 // configuration grouped by u-strip (u_offsets delimits strips); ps_pos
 // holds, grouped by s-strip (s_offsets), each point's POSITION in the pu
-// lanes — an index-based second grouping instead of a second copy.
+// lanes — an index-based second grouping instead of a second copy. Within
+// an s-strip the positions ascend by slope_key, ties in ascending
+// configuration index. Counts, positions and configuration indexes fit
+// 32 bits: the build refuses spaces of 2^32 or more configurations.
 struct FrontierIndex::GridStore {
   std::size_t grid = 0;
   std::vector<double> u_fences;             // grid + 1, [0, ..., +inf]
@@ -239,69 +333,97 @@ struct FrontierIndex::GridStore {
   detail::StripLocator s_locate;            // strip of a slope value
   std::vector<std::uint64_t> u_offsets;     // grid + 1
   std::vector<std::uint64_t> s_offsets;     // grid + 1
-  std::vector<std::uint64_t> matrix;        // (grid+1)^2, suffix-U/prefix-s
+  std::vector<std::uint32_t> matrix;        // (grid+1)^2, suffix-U/prefix-s
   std::vector<double> pu_u;                 // SoA point lanes by u-strip
   std::vector<double> pu_cu;                //   (cu at the ANCHOR prices)
-  std::vector<std::uint64_t> pu_idx;        //   configuration index
+  std::vector<std::uint32_t> pu_idx;        //   configuration index
   std::vector<std::uint32_t> ps_pos;        // s-strip grouping: pu positions
   std::vector<Entry> candidates;            // wide staircase candidate set W
   std::vector<double> anchor_hourly;        // prices pu_cu was folded with
   bool delta_capable = false;
 
   std::size_t bytes() const;
-  void rebuild_s_grouping();
-  void recount_matrix();
+  void set_matrix(std::span<const std::uint32_t> hist2d);
+  void regroup_by_slope();
   void select_candidates(std::span<const Entry> frontier);
+
+  /// One query as the partial-strip counts see it. `screen` is set when
+  /// the slack-certified verdicts below are sound (no underflow on the
+  /// way to the point's cost); otherwise every point is retested.
+  struct Ask {
+    double demand;
+    double deadline;
+    double budget;
+    double hscale;  // demand / 3600
+    bool screen;
+  };
+  std::uint64_t count_u_strip(std::size_t i, const Ask& ask,
+                              std::uint64_t& retested) const;
+  std::uint64_t count_s_strip(std::size_t j, std::size_t m, const Ask& ask,
+                              std::uint64_t& retested) const;
 };
 
 std::size_t FrontierIndex::GridStore::bytes() const {
   return (u_fences.capacity() + s_fences.capacity() + pu_u.capacity() +
           pu_cu.capacity() + anchor_hourly.capacity()) *
              sizeof(double) +
-         (u_offsets.capacity() + s_offsets.capacity() + matrix.capacity() +
-          pu_idx.capacity()) *
-             sizeof(std::uint64_t) +
-         ps_pos.capacity() * sizeof(std::uint32_t) +
+         (u_offsets.capacity() + s_offsets.capacity()) * sizeof(std::uint64_t) +
+         (matrix.capacity() + pu_idx.capacity() + ps_pos.capacity()) *
+             sizeof(std::uint32_t) +
          candidates.capacity() * sizeof(Entry) + u_locate.bytes() +
          s_locate.bytes();
 }
 
-/// Recompute s_offsets + ps_pos from the pu lanes (serial; delta paths
-/// only — the build fills the grouping during its scatter pass).
-void FrontierIndex::GridStore::rebuild_s_grouping() {
-  const std::size_t count = pu_u.size();
-  std::vector<std::uint64_t> hist(grid, 0);
-  for (std::size_t pos = 0; pos < count; ++pos)
-    ++hist[s_locate(pu_cu[pos] / pu_u[pos])];
-  s_offsets.assign(grid + 1, 0);
-  for (std::size_t j = 0; j < grid; ++j)
-    s_offsets[j + 1] = s_offsets[j] + hist[j];
-  ps_pos.resize(count);
-  std::vector<std::uint64_t> cursor(s_offsets.begin(), s_offsets.end() - 1);
-  for (std::size_t pos = 0; pos < count; ++pos) {
-    const std::size_t j = s_locate(pu_cu[pos] / pu_u[pos]);
-    ps_pos[cursor[j]++] = static_cast<std::uint32_t>(pos);
-  }
-}
-
-/// Recompute the (suffix-in-U, prefix-in-s) count matrix from the pu
-/// lanes (serial; delta paths only).
-void FrontierIndex::GridStore::recount_matrix() {
-  std::vector<std::uint64_t> hist2d(grid * grid, 0);
-  for (std::size_t i = 0; i < grid; ++i) {
-    std::uint64_t* row = hist2d.data() + i * grid;
-    for (std::uint64_t p = u_offsets[i]; p < u_offsets[i + 1]; ++p)
-      ++row[s_locate(pu_cu[p] / pu_u[p])];
-  }
+/// The (suffix-in-U, prefix-in-s) count matrix from the per-(u-strip,
+/// s-strip) histogram, row-major grid x grid.
+void FrontierIndex::GridStore::set_matrix(
+    std::span<const std::uint32_t> hist2d) {
   const std::size_t width = grid + 1;
   matrix.assign(width * width, 0);
   for (std::size_t i = grid; i-- > 0;) {
-    std::uint64_t run = 0;
+    std::uint32_t run = 0;
     for (std::size_t j = 1; j <= grid; ++j) {
       run += hist2d[i * grid + (j - 1)];
       matrix[i * width + j] = matrix[(i + 1) * width + j] + run;
     }
   }
+}
+
+/// Recompute the s-grouping (s_offsets, ps_pos ordered by slope key) and
+/// the count matrix from the pu lanes, classifying each point once
+/// (serial; delta paths only — the build fills the grouping during its
+/// scatter pass and orders it in parallel with the same helper).
+void FrontierIndex::GridStore::regroup_by_slope() {
+  const std::size_t count = pu_u.size();
+  std::vector<std::uint32_t> strip(count);
+  std::vector<float> key(count);
+  std::vector<std::uint32_t> hist2d(grid * grid, 0);
+  for (std::size_t i = 0; i < grid; ++i) {
+    std::uint32_t* row = hist2d.data() + i * grid;
+    for (std::uint64_t p = u_offsets[i]; p < u_offsets[i + 1]; ++p) {
+      const double slope = pu_cu[p] / pu_u[p];
+      strip[p] = static_cast<std::uint32_t>(s_locate(slope));
+      key[p] = slope_key(slope);
+      ++row[strip[p]];
+    }
+  }
+  set_matrix(hist2d);
+  s_offsets.assign(grid + 1, 0);
+  for (std::size_t j = 0; j < grid; ++j) {
+    std::uint64_t column = 0;
+    for (std::size_t i = 0; i < grid; ++i) column += hist2d[i * grid + j];
+    s_offsets[j + 1] = s_offsets[j] + column;
+  }
+  hist2d = {};
+  ps_pos.resize(count);
+  std::vector<float> ps_key(count);
+  std::vector<std::uint64_t> cursor(s_offsets.begin(), s_offsets.end() - 1);
+  for (std::size_t pos = 0; pos < count; ++pos) {
+    const std::uint64_t at = cursor[strip[pos]]++;
+    ps_pos[at] = static_cast<std::uint32_t>(pos);
+    ps_key[at] = key[pos];
+  }
+  detail::order_segments_by_key(s_offsets, ps_key, ps_pos);
 }
 
 /// Fill the wide candidate set W: every point whose slope is within
@@ -330,6 +452,104 @@ void FrontierIndex::GridStore::select_candidates(
   delta_capable = true;
 }
 
+/// Feasible points of u-strip i, read from the contiguous pu lanes. The
+/// SIMD screen certifies each point against the deadline (D vs T * U) and
+/// the budget (D/3600 * Cu vs B * U) with kRetestSlack on both sides,
+/// multiplies only; the points it cannot certify take the exact
+/// predicates.
+std::uint64_t FrontierIndex::GridStore::count_u_strip(
+    std::size_t i, const Ask& ask, std::uint64_t& retested) const {
+  const std::uint64_t begin = u_offsets[i], end = u_offsets[i + 1];
+  const auto exact = [&](std::uint64_t p) {
+    ++retested;
+    return feasible_point(ask.demand, ask.deadline, ask.budget, pu_u[p],
+                          pu_cu[p]);
+  };
+  std::uint64_t count = 0;
+  if (!ask.screen) {
+    for (std::uint64_t p = begin; p < end; ++p) count += exact(p);
+    return count;
+  }
+  simd::ScreenParams params;
+  params.deadline = ask.deadline;
+  params.budget = ask.budget;
+  params.d_pass = ask.demand * (1.0 + kRetestSlack);
+  params.d_fail = ask.demand * (1.0 - kRetestSlack);
+  params.c_pass = ask.hscale * (1.0 + kRetestSlack);
+  params.c_fail = ask.hscale * (1.0 - kRetestSlack);
+  params.u_lo = kScreenMin;
+  params.u_hi = kScreenMax;
+  const simd::ScreenFn screen = simd::active_kernels().screen;
+  constexpr std::size_t kChunk = 512;
+  std::array<std::uint64_t, kChunk / 64> unsure;
+  for (std::uint64_t first = begin; first < end; first += kChunk) {
+    const std::size_t n = std::min<std::uint64_t>(kChunk, end - first);
+    count += screen(pu_u.data() + first, pu_cu.data() + first, n, params,
+                    unsure.data());
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w)
+      for (std::uint64_t bits = unsure[w]; bits != 0; bits &= bits - 1)
+        count += exact(first + 64 * w +
+                       static_cast<std::uint64_t>(std::countr_zero(bits)));
+  }
+  return count;
+}
+
+/// Feasible points of s-strip j with U >= u_fences[m] (u-strips >= m,
+/// which pass the deadline wholly). The strip's positions ascend by slope
+/// key k, and a point's slope lies strictly between k's float neighbours,
+/// so D/3600 * next(k) * (1 + slack) < B certifies a pass and D/3600 *
+/// prev(k) * (1 - slack) >= B a fail; both are monotone in k. A binary
+/// search finds the surely-passing prefix and a galloping one the
+/// surely-failing suffix (each reads O(log n) points). In the prefix a
+/// lane position alone decides U >= u_fences[m]: the pu lanes are grouped
+/// by u-strip, so that is position >= u_offsets[m]. Only the band between
+/// the two takes the exact predicates.
+std::uint64_t FrontierIndex::GridStore::count_s_strip(
+    std::size_t j, std::size_t m, const Ask& ask,
+    std::uint64_t& retested) const {
+  const std::uint64_t begin = s_offsets[j], end = s_offsets[j + 1];
+  // Positions are 32-bit (positive_ < 2^32); comparing them with a 32-bit
+  // bound lets the prefix count compile to a plain vector loop.
+  const auto u_first = static_cast<std::uint32_t>(u_offsets[m]);
+  std::uint64_t pass_end = begin, fail_begin = end;
+  std::uint64_t count = 0;
+  if (ask.screen) {
+    constexpr float kInfKey = std::numeric_limits<float>::infinity();
+    const double c_pass = ask.hscale * (1.0 + kRetestSlack);
+    const double c_fail = ask.hscale * (1.0 - kRetestSlack);
+    const auto key_at = [&](std::uint64_t p) {
+      const std::uint32_t pos = ps_pos[p];
+      return slope_key(pu_cu[pos] / pu_u[pos]);
+    };
+    const auto fails = [&](std::uint64_t p) {
+      return c_fail * std::nextafter(key_at(p), -kInfKey) >= ask.budget;
+    };
+    pass_end = first_true(begin, end, [&](std::uint64_t p) {
+      return !(c_pass * std::nextafter(key_at(p), kInfKey) < ask.budget);
+    });
+    // The band is a few keys wide: gallop from its start.
+    std::uint64_t lo = pass_end, hi = pass_end, step = 1;
+    while (hi < end && !fails(hi)) {
+      lo = hi + 1;
+      hi = std::min(end, hi + step);
+      step *= 2;
+    }
+    fail_begin = first_true(lo, hi, fails);
+    std::uint32_t prefix = 0;
+    for (std::uint64_t p = begin; p < pass_end; ++p)
+      prefix += ps_pos[p] >= u_first;
+    count = prefix;
+  }
+  for (std::uint64_t p = pass_end; p < fail_begin; ++p) {
+    const std::uint32_t pos = ps_pos[p];
+    if (pos < u_first) continue;
+    ++retested;
+    count += feasible_point(ask.demand, ask.deadline, ask.budget, pu_u[pos],
+                            pu_cu[pos]);
+  }
+  return count;
+}
+
 // --- Build -----------------------------------------------------------------
 
 FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
@@ -348,6 +568,12 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
         std::to_string(capacity.num_dimensions()) +
         " dimensions) — the staircase is demand-invariant only in 1-D; "
         "vector queries take the sweep route");
+  // Configuration indexes, lane positions and grid counts are stored in
+  // 32 bits; refuse before walking anything.
+  if (space.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error(
+        "FrontierIndex: the space has more than 2^32 - 1 configurations "
+        "(32-bit configuration indexes and lane positions overflow)");
 
   static obs::Counter& builds = obs::counter(
       "celia_frontier_builds_total", "FrontierIndex builds executed");
@@ -499,10 +725,6 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
     }
   }
   index.positive_ = store->u_offsets[grid];
-  if (index.positive_ > std::numeric_limits<std::uint32_t>::max())
-    throw std::length_error(
-        "FrontierIndex: more than 2^32 - 1 attainable configurations "
-        "(position-based strip grouping overflows)");
 
   std::vector<std::vector<std::uint64_t>> cursor_u(blocks.size()),
       cursor_s(blocks.size());
@@ -522,7 +744,11 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
   }
 
   // Pass B: scatter the SoA point lanes (u-strip grouping) and record each
-  // point's lane position in the s-strip grouping.
+  // point's lane position, with its slope key, in the s-strip grouping.
+  // Blocks cover ascending index ranges, so each s-strip receives its
+  // points in ascending configuration index. The keys are transient and
+  // the scatter writes every one, so they skip the zero-fill.
+  auto ps_key = std::make_unique_for_overwrite<float[]>(index.positive_);
   {
     obs::Span span("frontier_build.pass_b", "planner");
     store->pu_u.resize(index.positive_);
@@ -533,45 +759,55 @@ FrontierIndex FrontierIndex::build(const ConfigurationSpace& space,
       std::vector<std::uint64_t>& cu_cursor = cursor_u[b];
       std::vector<std::uint64_t>& cs_cursor = cursor_s[b];
       walk_strips(plan, blocks[b], store->u_locate, store->s_locate,
-                  [&](std::uint64_t idx, double u, double cu,
-                      double /*slope*/, std::uint32_t u_strip,
-                      std::uint32_t s_strip) {
+                  [&](std::uint64_t idx, double u, double cu, double slope,
+                      std::uint32_t u_strip, std::uint32_t s_strip) {
                     const std::uint64_t pos = cu_cursor[u_strip]++;
                     store->pu_u[pos] = u;
                     store->pu_cu[pos] = cu;
-                    store->pu_idx[pos] = idx;
-                    store->ps_pos[cs_cursor[s_strip]++] =
-                        static_cast<std::uint32_t>(pos);
+                    store->pu_idx[pos] = static_cast<std::uint32_t>(idx);
+                    const std::uint64_t at = cs_cursor[s_strip]++;
+                    store->ps_pos[at] = static_cast<std::uint32_t>(pos);
+                    ps_key[at] = slope_key(slope);
                   });
     });
+  }
+
+  // Order every s-strip by slope key (stable, so ties stay in ascending
+  // configuration index whatever the pool size), then drop the keys.
+  {
+    obs::Span span("frontier_build.order", "planner");
+    parallel::ForOptions fo;
+    fo.pool = &pool;
+    fo.schedule = parallel::Schedule::kDynamic;
+    parallel::parallel_for_blocked(
+        0, grid,
+        [&](parallel::BlockedRange strips) {
+          detail::order_segments_by_key(
+              std::span(store->s_offsets)
+                  .subspan(strips.begin, strips.size() + 1),
+              std::span(ps_key.get(), index.positive_), store->ps_pos);
+        },
+        fo);
+    ps_key.reset();
   }
 
   // Pass C: per-u-strip slope histogram (each row owned by one task), then
   // the (suffix-in-U, prefix-in-s) count matrix.
   {
     obs::Span span("frontier_build.pass_c", "planner");
-    std::vector<std::uint64_t> hist2d(grid * grid, 0);
+    std::vector<std::uint32_t> hist2d(grid * grid, 0);
     parallel::ForOptions fo;
     fo.pool = &pool;
     parallel::parallel_for(
         0, grid,
         [&](std::uint64_t i) {
-          std::uint64_t* row = hist2d.data() + i * grid;
+          std::uint32_t* row = hist2d.data() + i * grid;
           for (std::uint64_t p = store->u_offsets[i];
                p < store->u_offsets[i + 1]; ++p)
             ++row[store->s_locate(store->pu_cu[p] / store->pu_u[p])];
         },
         fo);
-    const std::size_t width = grid + 1;
-    store->matrix.assign(width * width, 0);
-    for (std::size_t i = grid; i-- > 0;) {
-      std::uint64_t run = 0;
-      for (std::size_t j = 1; j <= grid; ++j) {
-        run += hist2d[i * grid + (j - 1)];
-        store->matrix[i * width + j] =
-            store->matrix[(i + 1) * width + j] + run;
-      }
-    }
+    store->set_matrix(hist2d);
   }
 
   // Merge per-block staircase candidates into the final frontier, then
@@ -782,7 +1018,7 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
       const double cu = old_store.pu_cu[p];
       next->pu_u.push_back(u);
       next->pu_cu.push_back(cu);
-      next->pu_idx.push_back(remapped);
+      next->pu_idx.push_back(static_cast<std::uint32_t>(remapped));
       const double env = screen_sm[frontier_above(screen_stairs, u)];
       if (cu / u <= env * (1.0 + kRetestSlack)) {
         if (extras.size() >= kMaxScreened) return std::nullopt;
@@ -791,8 +1027,7 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
     }
   }
   next->u_offsets[grid] = next->pu_u.size();
-  next->rebuild_s_grouping();
-  next->recount_matrix();
+  next->regroup_by_slope();
 
   surviving.insert(surviving.end(), extras.begin(), extras.end());
 
@@ -853,42 +1088,54 @@ std::uint64_t FrontierIndex::count_feasible(double demand,
   const double hscale = demand / 3600.0;
   const std::size_t width = grid + 1;
   std::uint64_t count = 0;
+  static obs::Counter& retested = obs::counter(
+      "celia_frontier_query_retested_total",
+      "Points FrontierIndex queries retested with the exact per-point "
+      "predicates (partial-strip points no bound could certify)");
 
   if (!repriced_) {
-    // First s-fence failing the budget in slope form (cost ~ D/3600 * s):
-    // strips < jm-1 pass wholly, strip jm-1 is partial, the rest fail.
-    const std::size_t jm =
-        static_cast<std::size_t>(
-            std::partition_point(
-                store.s_fences.begin(), store.s_fences.end(),
-                [&](double fence) { return hscale * fence < budget_dollars; }) -
-            store.s_fences.begin());
-    count = store.matrix[m * width + (jm == 0 ? 0 : jm - 1)];
+    const auto in_range = [](double x) {
+      return x >= kScreenMin && x <= kScreenMax;
+    };
+    GridStore::Ask ask{demand, deadline_seconds, budget_dollars, hscale,
+                       false};
+    std::uint64_t retests = 0;
+    // Partial u-strip m-1 (the screen checks each point's U itself).
+    ask.screen = in_range(demand) && in_range(budget_dollars) &&
+                 deadline_seconds >= kScreenMin;
+    count += store.count_u_strip(m - 1, ask, retests);
 
-    // Partial u-strip m-1: exact per-point predicates.
-    for (std::uint64_t p = store.u_offsets[m - 1]; p < store.u_offsets[m];
-         ++p) {
-      const double seconds = demand / store.pu_u[p];
-      if (!(seconds < deadline_seconds)) continue;
-      const double cost = seconds / 3600.0 * store.pu_cu[p];
-      if (cost < budget_dollars) ++count;
-    }
-
-    // Partial s-strip jm-1, restricted to whole-passing u-strips (u >=
-    // u_fences[m] excludes strip m-1, already counted above).
-    if (jm >= 1) {
-      const double u_min = store.u_fences[m];
-      for (std::uint64_t p = store.s_offsets[jm - 1]; p < store.s_offsets[jm];
-           ++p) {
-        const std::uint32_t pos = store.ps_pos[p];
-        const double u = store.pu_u[pos];
-        if (!(u >= u_min)) continue;
-        const double seconds = demand / u;
-        if (!(seconds < deadline_seconds)) continue;
-        const double cost = seconds / 3600.0 * store.pu_cu[pos];
-        if (cost < budget_dollars) ++count;
-      }
-    }
+    // The budget in slope form (cost ~ D/3600 * s): s-strips [0, j_pass)
+    // pass wholly, strips >= j_fail fail wholly, and the strips between
+    // are counted point by point, restricted to the whole-passing u-strips
+    // (u >= u_fences[m] excludes strip m-1, counted above). With the
+    // screen, kRetestSlack makes the wholesale verdicts sound for points
+    // whose cost rounds across the budget (one strip, two when the budget
+    // lies within the slack of a fence); without it, the slope form alone
+    // splits at one partial strip. The staircase's last entry holds the
+    // largest U.
+    ask.screen = in_range(demand) && budget_dollars >= kScreenMin &&
+                 frontier_.back().u <= kScreenMax;
+    const double pass_scale = ask.screen ? 1.0 + kRetestSlack : 1.0;
+    const double fail_scale = ask.screen ? 1.0 - kRetestSlack : 1.0;
+    const auto fences = std::span(store.s_fences);
+    const auto first_fence = [&](auto&& pred) {
+      return static_cast<std::size_t>(
+          std::partition_point(fences.begin(), fences.end(), pred) -
+          fences.begin());
+    };
+    const std::size_t passing = first_fence([&](double fence) {
+      return hscale * fence * pass_scale < budget_dollars;
+    });
+    const std::size_t j_pass = passing == 0 ? 0 : passing - 1;
+    const std::size_t j_fail =
+        std::min(grid, first_fence([&](double fence) {
+                   return !(hscale * fence * fail_scale >= budget_dollars);
+                 }));
+    count += store.matrix[m * width + j_pass];
+    for (std::size_t j = j_pass; j < j_fail; ++j)
+      count += store.count_s_strip(j, m, ask, retests);
+    retested.add(retests);
     return count;
   }
 
@@ -900,7 +1147,9 @@ std::uint64_t FrontierIndex::count_feasible(double demand,
   // re-tested per point with the EXACT fold-derived current cost.
   const ConfigurationSpace space(max_counts_);
   std::vector<int> digits(max_counts_.size());
+  std::uint64_t retests = 0;
   const auto current_cost = [&](std::uint32_t pos, double seconds) {
+    ++retests;
     space.decode_into(store.pu_idx[pos], digits);
     return seconds / 3600.0 * SweepPlan::fold_value(digits, hourly_);
   };
@@ -952,6 +1201,7 @@ std::uint64_t FrontierIndex::count_feasible(double demand,
       if (current_cost(pos, seconds) < budget_dollars) ++count;
     }
   }
+  retested.add(retests);
   return count;
 }
 

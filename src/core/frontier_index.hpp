@@ -23,18 +23,31 @@
 //  2. The COUNTING GRID for the exact feasible count: ~sqrt(S) quantile
 //     fences per axis, a (suffix-in-U, prefix-in-s) count matrix for the
 //     strips that pass/fail wholly, and the (U, Cu) points bucketed by
-//     strip so the one partial strip per axis is re-tested with the exact
-//     per-point sweep predicates. O(log S + sqrt(S)) per query vs O(S).
+//     strip, so the one partial strip per axis is counted exactly. The
+//     partial u-strip is a contiguous lane scan: a multiply-only screen
+//     certifies most points, and the rest take the exact per-point sweep
+//     predicates. Each s-strip lists its points' lane positions ordered by
+//     the float key (float)(cu / U); two binary searches over the keys
+//     split the partial s-strip into a prefix that surely passes the
+//     budget, a suffix that surely fails it and a short band between them.
+//     The prefix is counted by comparing lane positions alone (the lanes
+//     are grouped by u-strip, so a position bound is a U bound), and only
+//     the band is re-tested per point. O(log S + sqrt(S)) per query vs
+//     O(S), with O(log S) scattered reads (DESIGN.md §13, "Ordered
+//     s-strips").
 //
 // Exactness: U and Cu are the same doubles the sweep computes (both come
 // from the same core::SweepPlan walk), the deadline side of the grid
-// classification is exact (division is monotone), and every point in a
-// partial strip or in the staircase range is re-tested with bit-identical
-// predicates. The only divergence from sweep() is for points whose cost
-// lies within a few ulps of a constraint boundary (the budget-side strip
-// classification and the staircase range end use a slope-form bound) — a
-// measure-zero event for real-valued inputs, validated against sweep() by
-// the property tests.
+// classification is exact (division is monotone), a strip or point is
+// certified against the budget only with a relative slack far wider than
+// the rounding it covers, and every uncertified point in a partial strip
+// or in the staircase range is re-tested with bit-identical predicates.
+// The only divergence from sweep() is for points whose cost lies within a
+// few ulps of a constraint boundary where a slope-form bound still
+// decides: the staircase range end, and the budget-side strip split for
+// demands, budgets or capacities outside the screens' [2^-400, 2^400]
+// range — a measure-zero event for real-valued inputs, validated against
+// sweep() by the property tests.
 //
 // Risk-aware queries (confidence_z > 0) change the effective capacity per
 // configuration and keep the sweep path; see SweepOptions.
@@ -105,6 +118,9 @@ class FrontierIndex {
 
   /// One parallel pass over the space (plus a scatter pass for the grid).
   /// `hourly_costs[i]` is the per-hour price of one instance of type i.
+  /// Throws std::length_error, before walking anything, when the space
+  /// holds more than 2^32 - 1 configurations (the index stores 32-bit
+  /// configuration indexes, lane positions and counts).
   static FrontierIndex build(const ConfigurationSpace& space,
                              const ResourceCapacity& capacity,
                              std::span<const double> hourly_costs,
@@ -257,6 +273,18 @@ namespace detail {
 /// build's frontier equals this filter over every U > 0 configuration.
 std::vector<FrontierIndex::Entry> staircase_filter(
     std::vector<FrontierIndex::Entry> entries);
+
+/// Stable ascending sort of (keys, values) pairs within each segment
+/// [offsets[j], offsets[j + 1]) of the two parallel arrays, for every j <
+/// offsets.size() - 1; equal keys keep their input order. The index orders
+/// each s-strip's lane positions by their slope key with it. An LSD radix
+/// over an order-preserving uint32 image of the float keys, one 8-bit
+/// digit per pass; a digit no key in the segment varies in is skipped, so
+/// the narrow key range of one strip usually takes two passes. Segments
+/// are independent: callers may order disjoint segment ranges in parallel.
+void order_segments_by_key(std::span<const std::uint64_t> offsets,
+                           std::span<float> keys,
+                           std::span<std::uint32_t> values);
 
 /// Exact O(1) strip lookup over one quantile fence vector (fences[0] = 0,
 /// fences.back() = +inf, non-decreasing, non-negative; at least two

@@ -97,6 +97,22 @@ std::size_t classify_multi_scalar(const double* u_rows, std::size_t stride,
   return count;
 }
 
+std::size_t screen_scalar(const double* u, const double* cu, std::size_t n,
+                          const ScreenParams& p, std::uint64_t* unsure_words) {
+  zero_mask(unsure_words, n);
+  std::size_t passed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double tu = p.deadline * u[i];
+    const double bu = p.budget * u[i];
+    const bool in = p.u_lo <= u[i] && u[i] <= p.u_hi;
+    const bool pass = in && p.d_pass < tu && p.c_pass * cu[i] < bu;
+    const bool fail = in && (p.d_fail >= tu || p.c_fail * cu[i] >= bu);
+    passed += pass;
+    if (!pass && !fail) unsure_words[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  return passed;
+}
+
 #if CELIA_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -365,15 +381,62 @@ CELIA_SIMD_ATTR_AVX2 std::size_t classify_multi_avx2(
   return count;
 }
 
+CELIA_SIMD_ATTR_AVX2 std::size_t screen_avx2(const double* u,
+                                             const double* cu, std::size_t n,
+                                             const ScreenParams& p,
+                                             std::uint64_t* unsure_words) {
+  zero_mask(unsure_words, n);
+  const __m256d vdl = _mm256_set1_pd(p.deadline);
+  const __m256d vb = _mm256_set1_pd(p.budget);
+  const __m256d vdp = _mm256_set1_pd(p.d_pass);
+  const __m256d vdf = _mm256_set1_pd(p.d_fail);
+  const __m256d vcp = _mm256_set1_pd(p.c_pass);
+  const __m256d vcf = _mm256_set1_pd(p.c_fail);
+  const __m256d vlo = _mm256_set1_pd(p.u_lo);
+  const __m256d vhi = _mm256_set1_pd(p.u_hi);
+  std::size_t passed = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d vu = _mm256_loadu_pd(u + i);
+    const __m256d vcu = _mm256_loadu_pd(cu + i);
+    const __m256d tu = _mm256_mul_pd(vdl, vu);
+    const __m256d bu = _mm256_mul_pd(vb, vu);
+    const __m256d in = _mm256_and_pd(_mm256_cmp_pd(vlo, vu, _CMP_LE_OQ),
+                                     _mm256_cmp_pd(vu, vhi, _CMP_LE_OQ));
+    const __m256d pass = _mm256_and_pd(
+        in, _mm256_and_pd(
+                _mm256_cmp_pd(vdp, tu, _CMP_LT_OQ),
+                _mm256_cmp_pd(_mm256_mul_pd(vcp, vcu), bu, _CMP_LT_OQ)));
+    const __m256d fail = _mm256_and_pd(
+        in, _mm256_or_pd(
+                _mm256_cmp_pd(vdf, tu, _CMP_GE_OQ),
+                _mm256_cmp_pd(_mm256_mul_pd(vcf, vcu), bu, _CMP_GE_OQ)));
+    const auto pass_bits = static_cast<unsigned>(_mm256_movemask_pd(pass));
+    const auto sure_bits =
+        static_cast<unsigned>(_mm256_movemask_pd(_mm256_or_pd(pass, fail)));
+    unsure_words[i / 64] |= static_cast<std::uint64_t>(~sure_bits & 0xfu)
+                            << (i % 64);
+    passed += static_cast<std::size_t>(std::popcount(pass_bits));
+  }
+  if (i < n) {
+    std::uint64_t tail = 0;
+    passed += screen_scalar(u + i, cu + i, n - i, p, &tail);
+    unsure_words[i / 64] |= tail << (i % 64);
+  }
+  return passed;
+}
+
 #endif  // CELIA_SIMD_X86
 
 constexpr Kernels kScalarKernels{classify_scalar, classify_risk_scalar,
-                                 classify_multi_scalar};
+                                 classify_multi_scalar, screen_scalar};
 #if CELIA_SIMD_X86
+// The screen has no SSE2 variant: that level runs the scalar loop, which
+// already avoids the two divisions per point of the exact predicate.
 constexpr Kernels kSse2Kernels{classify_sse2, classify_risk_sse2,
-                               classify_multi_sse2};
+                               classify_multi_sse2, screen_scalar};
 constexpr Kernels kAvx2Kernels{classify_avx2, classify_risk_avx2,
-                               classify_multi_avx2};
+                               classify_multi_avx2, screen_avx2};
 #endif
 
 Level clamp_to_detected(Level level) {

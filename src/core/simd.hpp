@@ -90,10 +90,36 @@ using ClassifyMultiFn = std::size_t (*)(
     std::size_t n, double deadline, double budget, double* seconds,
     double* cost, std::uint64_t* mask_words);
 
+/// Parameters of the FrontierIndex partial-strip screen (see ScreenFn).
+struct ScreenParams {
+  double deadline = 0.0;
+  double budget = 0.0;
+  double d_pass = 0.0;  // demand * (1 + slack)
+  double d_fail = 0.0;  // demand * (1 - slack)
+  double c_pass = 0.0;  // demand / 3600 * (1 + slack)
+  double c_fail = 0.0;  // demand / 3600 * (1 - slack)
+  double u_lo = 0.0;    // points with U outside [u_lo, u_hi] are uncertain
+  double u_hi = 0.0;
+};
+
+/// screen: a multiply-only certificate for the sweep predicate. With
+/// tu = deadline * u[i] and bu = budget * u[i], element i (u_lo <= u[i] <=
+/// u_hi) is
+///   surely feasible    iff d_pass < tu && c_pass * cu[i] < bu,
+///   surely infeasible  iff d_fail >= tu || c_fail * cu[i] >= bu.
+/// Bit i of unsure_words is set iff element i is neither (or out of
+/// range); unsure_words must hold (n + 63) / 64 words, overwritten.
+/// Returns the number of surely feasible elements. Scalar and AVX2
+/// variants only (the SSE2 table holds the scalar one).
+using ScreenFn = std::size_t (*)(const double* u, const double* cu,
+                                 std::size_t n, const ScreenParams& params,
+                                 std::uint64_t* unsure_words);
+
 struct Kernels {
   ClassifyFn classify = nullptr;
   ClassifyRiskFn classify_risk = nullptr;
   ClassifyMultiFn classify_multi = nullptr;
+  ScreenFn screen = nullptr;
 };
 
 /// Kernel table for a specific level (always valid; levels above

@@ -9,8 +9,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/instance_type.hpp"
@@ -24,6 +26,7 @@ namespace {
 using namespace celia::core;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr float kInfF = std::numeric_limits<float>::infinity();
 
 struct RandomModel {
   ConfigurationSpace space;
@@ -258,27 +261,39 @@ TEST(FrontierIndex, PrunedBuildEqualsStaircaseOfEveryPoint) {
   }
 }
 
-/// The build's interior u-fences, drawn as the build draws them: quantiles
-/// of the U > 0 values of every stride-th configuration, with stride
-/// n / min(n, 65536).
-std::vector<double> reference_u_fences(const RandomModel& model,
-                                       std::size_t grid) {
+/// The build's interior fences on one axis, drawn as the build draws them:
+/// quantiles of axis(u, cu) over the U > 0 values of every stride-th
+/// configuration, with stride n / min(n, 65536).
+template <typename Axis>
+std::vector<double> reference_fences(const RandomModel& model,
+                                     std::size_t grid, Axis axis) {
   const std::uint64_t n = model.space.size();
-  std::vector<double> all_u(n);
-  for_each_configuration(model.space, model.capacity, model.hourly,
-                         [&](std::uint64_t index, double u, double) {
-                           all_u[index] = u;
-                         });
   const std::uint64_t stride =
       std::max<std::uint64_t>(1, n / std::min<std::uint64_t>(n, 65536));
   std::vector<double> sample;
-  for (std::uint64_t i = 0; i < n; i += stride)
-    if (all_u[i] > 0) sample.push_back(all_u[i]);
+  celia::parallel::ThreadPool serial(1);  // the callback appends
+  for_each_configuration(
+      model.space, model.capacity, model.hourly,
+      [&](std::uint64_t index, double u, double cu) {
+        if (index % stride == 0 && u > 0) sample.push_back(axis(u, cu));
+      },
+      &serial);
   std::sort(sample.begin(), sample.end());
   std::vector<double> fences;
   for (std::size_t k = 1; k < grid; ++k)
     fences.push_back(sample[(k * sample.size()) / grid]);
   return fences;
+}
+
+std::vector<double> reference_u_fences(const RandomModel& model,
+                                       std::size_t grid) {
+  return reference_fences(model, grid, [](double u, double) { return u; });
+}
+
+std::vector<double> reference_s_fences(const RandomModel& model,
+                                       std::size_t grid) {
+  return reference_fences(model, grid,
+                          [](double u, double cu) { return cu / u; });
 }
 
 TEST(FrontierIndex, CountsExactOnUFencesForEveryPool) {
@@ -318,6 +333,203 @@ TEST(FrontierIndex, CountsExactOnUFencesForEveryPool) {
           EXPECT_EQ(index.query(demand, constraints, false).feasible,
                     expected.feasible);
       }
+    }
+  }
+}
+
+/// Budgets on which the partial-strip count decides a point's fate: the
+/// sampled points' own costs at `demand` and their float neighbours, the
+/// slope-form costs of the points' float slope keys and of those keys'
+/// neighbours, and every few s-fences.
+std::vector<double> boundary_budgets(const RandomModel& model, double demand,
+                                     std::span<const double> s_fences) {
+  const double hscale = demand / 3600.0;
+  const auto around = [](std::vector<double>& out, double x) {
+    out.push_back(std::nextafter(x, 0.0));
+    out.push_back(x);
+    out.push_back(std::nextafter(x, kInf));
+  };
+  std::vector<double> budgets;
+  const std::uint64_t stride =
+      std::max<std::uint64_t>(1, model.space.size() / 12);
+  celia::parallel::ThreadPool serial(1);  // the callback appends
+  for_each_configuration(
+      model.space, model.capacity, model.hourly,
+      [&](std::uint64_t index, double u, double cu) {
+        if (index % stride != 0 || !(u > 0)) return;
+        around(budgets, demand / u / 3600.0 * cu);
+        const float key = static_cast<float>(cu / u);
+        for (const float k : {std::nextafter(key, 0.0f), key,
+                              std::nextafter(key, kInfF)})
+          around(budgets, hscale * static_cast<double>(k));
+      },
+      &serial);
+  const std::size_t step = std::max<std::size_t>(1, s_fences.size() / 6);
+  for (std::size_t k = 0; k < s_fences.size(); k += step)
+    around(budgets, hscale * s_fences[k]);
+  return budgets;
+}
+
+std::uint64_t brute_force_count(const RandomModel& model, double demand,
+                                const Constraints& constraints) {
+  SweepOptions options;
+  options.collect_pareto = false;
+  options.index_policy = IndexPolicy::Never();
+  return sweep(model.space, model.capacity, model.hourly, demand, constraints,
+               options)
+      .feasible;
+}
+
+/// Every budget of boundary_budgets() under an open deadline, a deadline
+/// on a u-fence and a deadline on a sampled point's own U: the index's
+/// count must equal the brute-force count.
+void expect_exact_counts_on_boundaries(const RandomModel& model,
+                                       std::span<const FrontierIndex> indexes,
+                                       double demand) {
+  const std::size_t grid = indexes.front().grid_resolution();
+  const std::vector<double> u_fences = reference_u_fences(model, grid);
+  const std::vector<double> s_fences = reference_s_fences(model, grid);
+  const std::vector<double> budgets =
+      boundary_budgets(model, demand, s_fences);
+  const auto frontier = indexes.front().frontier();
+  const std::vector<double> deadlines = {
+      kInf, demand / u_fences[u_fences.size() / 3],
+      demand / frontier[frontier.size() / 2].u};
+  for (const double deadline : deadlines) {
+    for (const double budget : budgets) {
+      SCOPED_TRACE(::testing::Message() << std::hexfloat << "deadline "
+                                        << deadline << " budget " << budget);
+      Constraints constraints;
+      constraints.deadline_seconds = deadline;
+      constraints.budget_dollars = budget;
+      const std::uint64_t expected =
+          brute_force_count(model, demand, constraints);
+      for (const FrontierIndex& index : indexes)
+        EXPECT_EQ(index.query(demand, constraints, false).feasible, expected);
+    }
+  }
+}
+
+TEST(FrontierIndex, CountsExactOnBudgetBoundariesForEveryPool) {
+  // Budgets exactly on points' own costs, on float slope-key boundaries
+  // and on s-fences put points on both sides of the partial s-strip's
+  // certified prefix and suffix and inside its re-tested band; the u-fence
+  // and own-U deadlines do the same for the partial u-strip's screen.
+  // Tied and integer-multiple models repeat keys and slopes, which the
+  // stable strip order must keep consistent for every pool size.
+  celia::util::Xoshiro256 rng(1414);
+  celia::parallel::ThreadPool one(1), two(2), eight(8);
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomModel model =
+        trial % 2 == 0 ? tied_model(rng) : multiples_model(rng);
+    std::vector<FrontierIndex> indexes;
+    for (celia::parallel::ThreadPool* pool : {&one, &two, &eight}) {
+      FrontierIndex::BuildOptions options;
+      options.pool = pool;
+      indexes.push_back(FrontierIndex::build(model.space, model.capacity,
+                                             model.hourly, options));
+      EXPECT_EQ(indexes.back().content_fingerprint(),
+                indexes.front().content_fingerprint());
+    }
+    expect_exact_counts_on_boundaries(model, indexes, 1e13);
+  }
+}
+
+TEST(FrontierIndex, WithLimitIndexCountsExactOnBudgetBoundaries) {
+  // with_limit() regroups and re-orders the s-strips of the filtered point
+  // store; its counts must stay exact on the same boundary budgets.
+  celia::util::Xoshiro256 rng(2718);
+  for (int trial = 0; trial < 2; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomModel model =
+        trial % 2 == 0 ? tied_model(rng) : multiples_model(rng);
+    const FrontierIndex anchor =
+        FrontierIndex::build(model.space, model.capacity, model.hourly);
+    std::vector<int> limits = model.space.max_counts();
+    const auto type = static_cast<std::size_t>(
+        std::max_element(limits.begin(), limits.end()) - limits.begin());
+    limits[type] -= 1;
+    std::optional<FrontierIndex> narrowed =
+        anchor.with_limit(type, limits[type]);
+    ASSERT_TRUE(narrowed.has_value());
+    const RandomModel shrunk{ConfigurationSpace(limits), model.capacity,
+                             model.hourly};
+    EXPECT_EQ(narrowed->content_fingerprint(),
+              FrontierIndex::build(shrunk.space, shrunk.capacity,
+                                   shrunk.hourly)
+                  .content_fingerprint());
+    std::vector<FrontierIndex> indexes;
+    indexes.push_back(std::move(*narrowed));
+    expect_exact_counts_on_boundaries(shrunk, indexes, 1e13);
+  }
+}
+
+TEST(FrontierIndex, CountsExactAtLargeAndSmallMagnitudes) {
+  // The screens' slack bounds hold for demands and budgets far from the
+  // usual scale as long as no rounded cost can underflow; budgets on the
+  // tied model's exact slopes put many points on the boundary.
+  celia::util::Xoshiro256 rng(1729);
+  const RandomModel model = tied_model(rng);
+  const FrontierIndex index =
+      FrontierIndex::build(model.space, model.capacity, model.hourly);
+  for (const double demand : {1e-100, 1e-20, 1e40, 1e100}) {
+    for (const double per_hour : {5e-11, 2e-10}) {
+      Constraints constraints;
+      constraints.deadline_seconds = demand / 4e9;
+      constraints.budget_dollars = demand / 3600.0 * per_hour;
+      SCOPED_TRACE(::testing::Message() << demand << " " << per_hour);
+      expect_same_result(
+          sweep(model.space, model.capacity, model.hourly, demand,
+                constraints),
+          index.query(demand, constraints), "magnitude");
+    }
+  }
+}
+
+TEST(FrontierIndex, BuildRefusesSpacesBeyond32Bits) {
+  // 12^9 - 1 > 2^32 - 1 configurations: refused before any walk.
+  const ConfigurationSpace space(
+      std::vector<int>(celia::cloud::catalog_size(), 11));
+  const ResourceCapacity capacity(
+      std::vector<double>(celia::cloud::catalog_size(), 1e9),
+      celia::cloud::Catalog::ec2_table3());
+  EXPECT_THROW(FrontierIndex::build(space, capacity), std::length_error);
+}
+
+TEST(FrontierIndex, OrderSegmentsByKeyIsStableAndOrdered) {
+  // Against std::stable_sort per segment: few distinct keys (long tie
+  // runs), keys that differ in every byte, negatives, -0.0 against +0.0,
+  // +inf, and empty, single and large segments.
+  celia::util::Xoshiro256 rng(4242);
+  const std::vector<float> alphabet = {-3.5f, -0.0f, 0.0f,  1e-40f, 1.0f,
+                                       1.0f,  1.5f,  2e30f, kInfF};
+  const std::vector<std::uint64_t> sizes = {0, 1, 2, 3, 300, 0, 5000, 64, 7};
+  for (const bool narrow : {true, false}) {
+    SCOPED_TRACE(narrow);
+    std::vector<std::uint64_t> offsets = {0};
+    for (const std::uint64_t size : sizes)
+      offsets.push_back(offsets.back() + size);
+    const std::size_t n = offsets.back();
+    std::vector<float> keys(n);
+    for (float& key : keys)
+      key = narrow ? alphabet[rng.bounded(alphabet.size())]
+                   : static_cast<float>(rng.uniform(-1e6, 1e6));
+    std::vector<std::uint32_t> values(n);
+    for (std::size_t i = 0; i < n; ++i) values[i] = static_cast<std::uint32_t>(i);
+
+    std::vector<std::pair<float, std::uint32_t>> expected;
+    for (std::size_t i = 0; i < n; ++i) expected.emplace_back(keys[i], values[i]);
+    for (std::size_t j = 0; j + 1 < offsets.size(); ++j)
+      std::stable_sort(expected.begin() + static_cast<std::ptrdiff_t>(offsets[j]),
+                       expected.begin() + static_cast<std::ptrdiff_t>(offsets[j + 1]),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+
+    detail::order_segments_by_key(offsets, keys, values);
+    for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(values[i], expected[i].second);
+      EXPECT_EQ(keys[i], expected[i].first);
     }
   }
 }

@@ -104,6 +104,60 @@ TEST(Simd, KernelTablesAlwaysValid) {
     EXPECT_NE(table.classify, nullptr) << simd::level_name(level);
     EXPECT_NE(table.classify_risk, nullptr) << simd::level_name(level);
     EXPECT_NE(table.classify_multi, nullptr) << simd::level_name(level);
+    EXPECT_NE(table.screen, nullptr) << simd::level_name(level);
+  }
+}
+
+TEST(Simd, ScreenBitIdenticalAcrossLevels) {
+  // The screen's verdicts at every level must equal the scalar reference's,
+  // and its certified verdicts must agree with the exact predicate. The
+  // deadline and budget sit mid-range, so all three verdicts occur; the
+  // U range excludes the zero-capacity slots and a band of large U.
+  const simd::Kernels& reference = simd::kernels(simd::Level::kScalar);
+  for (const std::size_t n : kSizes) {
+    const Lanes lanes(n, 0xD1B54A32D192ED03ULL + n);
+    simd::ClassifyParams exact;
+    exact.demand = 0x1.fbce5e08p+52;
+    exact.deadline = 3.0e5;
+    exact.budget = 60.0;
+    // A wide slack makes uncertain verdicts common enough to compare.
+    const double slack = 0.05;
+    simd::ScreenParams params;
+    params.deadline = exact.deadline;
+    params.budget = exact.budget;
+    params.d_pass = exact.demand * (1 + slack);
+    params.d_fail = exact.demand * (1 - slack);
+    params.c_pass = exact.demand / 3600.0 * (1 + slack);
+    params.c_fail = exact.demand / 3600.0 * (1 - slack);
+    params.u_lo = 1.0;
+    params.u_hi = 2.5e10;
+
+    std::vector<std::uint64_t> ref_unsure(mask_words_for(n) + 1, ~0ULL);
+    const std::size_t ref_passed = reference.screen(
+        lanes.u.data(), lanes.cu.data(), n, params, ref_unsure.data());
+    std::vector<double> seconds(n), cost(n);
+    std::vector<std::uint64_t> feasible(mask_words_for(n) + 1, 0);
+    reference.classify(lanes.u.data(), lanes.cu.data(), n, exact,
+                       seconds.data(), cost.data(), feasible.data());
+    std::size_t certified_feasible = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool unsure = (ref_unsure[i / 64] >> (i % 64)) & 1;
+      const bool ok = (feasible[i / 64] >> (i % 64)) & 1;
+      if (!unsure) certified_feasible += ok;
+      if (lanes.u[i] == 0.0) EXPECT_TRUE(unsure) << "n=" << n << " i=" << i;
+    }
+    // Every certified point's verdict is the exact one.
+    EXPECT_EQ(ref_passed, certified_feasible) << "n=" << n;
+
+    for (const simd::Level level : kAllLevels) {
+      std::vector<std::uint64_t> unsure(mask_words_for(n) + 1, ~0ULL);
+      const std::size_t passed = simd::kernels(level).screen(
+          lanes.u.data(), lanes.cu.data(), n, params, unsure.data());
+      EXPECT_EQ(passed, ref_passed) << simd::level_name(level) << " n=" << n;
+      for (std::size_t w = 0; w < mask_words_for(n); ++w)
+        EXPECT_EQ(unsure[w], ref_unsure[w])
+            << simd::level_name(level) << " n=" << n << " word=" << w;
+    }
   }
 }
 

@@ -284,8 +284,8 @@ TEST_F(ObsTrace, FrontierBuildEmitsOneSpanPerPass) {
             });
   const std::vector<std::string> expected = {
       "frontier_build.fences", "frontier_build.pass_a",
-      "frontier_build.pass_b", "frontier_build.pass_c",
-      "frontier_build.merge"};
+      "frontier_build.pass_b", "frontier_build.order",
+      "frontier_build.pass_c", "frontier_build.merge"};
   ASSERT_EQ(children.size(), expected.size());
   for (std::size_t i = 0; i < children.size(); ++i) {
     SCOPED_TRACE(children[i].name);
