@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include <algorithm>
 #include <chrono>
@@ -451,21 +452,21 @@ int main(int argc, char** argv) {
             << util::format_money(budget) << "\n\n";
 
   core::SweepOptions sweep_options;
-  std::shared_ptr<const core::FrontierIndex> index;
+  std::optional<core::FrontierIndex> index;
   if (cli.has("index") && dims > 1) {
     std::cout << "frontier index: unavailable for vector demand (the "
                  "staircase is only demand-invariant in 1-D); sweeping\n";
   } else if (cli.has("index")) {
     watch.reset();
-    index = core::shared_frontier_index(celia.space(), celia.capacity(),
-                                        celia.catalog());
+    index.emplace(core::FrontierIndex::build(celia.space(), celia.capacity(),
+                                             celia.catalog()));
     std::cout << "frontier index: " << index->frontier().size()
               << " staircase entries over "
               << util::format_with_commas(index->attainable_configurations())
               << " attainable configurations ("
               << index->memory_bytes() / 1024 << " KiB), built in "
               << util::format_fixed(watch.elapsed_ms(), 0) << " ms\n";
-    sweep_options.index_policy = core::IndexPolicy::Prefer(index.get());
+    sweep_options.index_policy = core::IndexPolicy::Prefer(&*index);
   }
 
   watch.reset();

@@ -13,6 +13,7 @@
 #include "apps/registry.hpp"
 #include "cloud/provider.hpp"
 #include "core/celia.hpp"
+#include "core/frontier_index.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -31,10 +32,12 @@ int main() {
             << " reads, deadline " << kDeadline << " h, budget "
             << util::format_money(kBudget) << "\n\n";
 
-  // The ladder fires a dozen queries at one fixed model: build the shared
+  // The ladder fires a dozen queries at one fixed model: build the
   // frontier index once and answer them all from it.
+  const core::FrontierIndex index = core::FrontierIndex::build(
+      celia.space(), celia.capacity(), celia.catalog());
   core::SweepOptions fast;
-  fast.index_policy = core::IndexPolicy::Shared();
+  fast.index_policy = core::IndexPolicy::Prefer(&index);
 
   // 1. The accuracy-cost ladder: min cost per quality threshold.
   const double thresholds[] = {0.01, 0.02, 0.04, 0.08, 0.16,

@@ -22,8 +22,8 @@ struct ScalingPoint {
 
 /// Fig. 5: fix accuracy, scale problem size, report min cost per deadline.
 /// `options` is forwarded to every underlying sweep — pass
-/// `index_policy = IndexPolicy::Shared()` so the whole curve reuses one
-/// FrontierIndex.
+/// `index_policy = IndexPolicy::Prefer(&index)` with one FrontierIndex
+/// built for the model so the whole curve reuses it.
 std::vector<ScalingPoint> problem_size_scaling(const Celia& celia,
                                                double fixed_accuracy,
                                                std::span<const double> sizes,

@@ -78,8 +78,9 @@ class Celia {
   /// Cheapest feasible configuration within the deadline (unbounded
   /// budget); nullopt when no configuration meets the deadline. The
   /// options give full sweep control — e.g. set `index_policy =
-  /// IndexPolicy::Shared()` to answer repeated deadline ladders from the
-  /// shared FrontierIndex, or `pool` to pick the thread pool.
+  /// IndexPolicy::Prefer(&index)` with an index built once by
+  /// FrontierIndex::build(space(), capacity(), catalog()) to answer
+  /// repeated deadline ladders from it, or `pool` to pick the thread pool.
   /// collect_pareto is forced off.
   std::optional<CostTimePoint> min_cost_configuration(
       const apps::AppParams& params, double deadline_hours,

@@ -149,9 +149,6 @@ struct RouteCounters {
   obs::Counter& index = obs::counter(
       "celia_planner_route_index_total",
       "Planner queries answered by a caller-provided FrontierIndex");
-  obs::Counter& shared = obs::counter(
-      "celia_planner_route_shared_index_total",
-      "Planner queries answered by the process-wide shared FrontierIndex");
   obs::Counter& fallback = obs::counter(
       "celia_planner_route_fallback_total",
       "Planner queries that requested an index but were ineligible "
@@ -226,7 +223,7 @@ namespace {
 /// Shared implementation behind the span- and catalog-based sweep entry
 /// points; `catalog` is null for the span path (hourly costs stand alone)
 /// and non-null when the caller planned against a first-class catalog, in
-/// which case the shared-index route consults the catalog-pinned cache.
+/// which case a Prefer index must not be pinned to another catalog.
 SweepResult sweep_impl(const ConfigurationSpace& space,
                        const ResourceCapacity& capacity,
                        std::span<const double> hourly_costs,
@@ -241,33 +238,22 @@ SweepResult sweep_impl(const ConfigurationSpace& space,
   const bool multi = query.num_dimensions() > 1;
 
   QueryRoute route = QueryRoute::kSweep;
-  if (policy.mode != IndexPolicy::Mode::kNever) {
-    if (policy.mode == IndexPolicy::Mode::kPrefer && policy.index == nullptr)
+  if (policy.mode == IndexPolicy::Mode::kPrefer) {
+    if (policy.index == nullptr)
       throw std::invalid_argument(
           "sweep: IndexPolicy::Prefer requires a non-null FrontierIndex");
     if (index_can_answer(constraints, options, query.num_dimensions())) {
-      if (policy.mode == IndexPolicy::Mode::kPrefer) {
-        if (catalog && policy.index->catalog_fingerprint() != 0 &&
-            policy.index->catalog_fingerprint() != catalog->fingerprint())
-          throw std::invalid_argument(
-              "sweep: FrontierIndex is pinned to a different catalog than '" +
-              catalog->name() + "'");
-        if (!policy.index->matches(space, capacity, hourly_costs))
-          throw std::invalid_argument(
-              "sweep: FrontierIndex was built for a different model");
-        route_counters().index.add(1);
-        SweepResult result = policy.index->query(query);
-        result.route = QueryRoute::kIndex;
-        return result;
-      }
-      route_counters().shared.add(1);
-      SweepResult result =
-          (catalog
-               ? shared_frontier_index(space, capacity, *catalog, options.pool)
-               : shared_frontier_index(space, capacity, hourly_costs,
-                                       options.pool))
-              ->query(query);
-      result.route = QueryRoute::kSharedIndex;
+      if (catalog && policy.index->catalog_fingerprint() != 0 &&
+          policy.index->catalog_fingerprint() != catalog->fingerprint())
+        throw std::invalid_argument(
+            "sweep: FrontierIndex is pinned to a different catalog than '" +
+            catalog->name() + "'");
+      if (!policy.index->matches(space, capacity, hourly_costs))
+        throw std::invalid_argument(
+            "sweep: FrontierIndex was built for a different model");
+      route_counters().index.add(1);
+      SweepResult result = policy.index->query(query);
+      result.route = QueryRoute::kIndex;
       return result;
     }
     // Index requested but this query needs the sweep (risk-aware,

@@ -24,9 +24,8 @@
 // Deterministic queries (confidence_z == 0, no sampling) can skip the
 // sweep entirely via the demand-invariant FrontierIndex — see
 // core/frontier_index.hpp and SweepOptions::index_policy. The route the
-// planner actually took (sweep, index, shared index, or an observable
-// fallback) is reported in SweepResult::route and counted in the obs
-// metrics registry.
+// planner actually took (sweep, index, or an observable fallback) is
+// reported in SweepResult::route and counted in the obs metrics registry.
 
 #include <algorithm>
 #include <cstdint>
@@ -69,8 +68,8 @@ struct Constraints {
 };
 
 /// Shared entry-point validation: every planner query route — sweep(),
-/// FrontierIndex::query(), recommend(), Celia::min_cost_configuration —
-/// funnels through this so they reject malformed input identically.
+/// FrontierIndex::query(), Celia::min_cost_configuration — funnels
+/// through this so they reject malformed input identically.
 /// Throws std::invalid_argument when demand is non-positive or non-finite,
 /// when the deadline or budget is NaN or negative (infinity = "no
 /// constraint" and 0 are both allowed: 0 simply admits nothing), or when
@@ -96,16 +95,14 @@ void validate_query(const apps::DemandVector& demand,
 /// 0, sample_stride == 0, one demand dimension — the staircase is
 /// demand-invariant only in 1-D; with several dimensions feasibility
 /// depends on the demand mix's direction, not just its magnitude). When
-/// Prefer/Shared is requested for an ineligible query the planner runs the
-/// full sweep instead — and that fallback is OBSERVABLE:
+/// Prefer is requested for an ineligible query the planner runs the full
+/// sweep instead — and that fallback is OBSERVABLE:
 /// SweepResult::route == kSweepFallback and the
 /// celia_planner_route_fallback_total counter is bumped, never silent.
 struct IndexPolicy {
   enum class Mode {
     kNever,   // always run the full sweep
     kPrefer,  // answer from the given prebuilt index when eligible
-    kShared,  // answer from the process-wide shared index (built on first
-              // use) when eligible — see core::shared_frontier_index()
   };
 
   Mode mode = Mode::kNever;
@@ -117,7 +114,6 @@ struct IndexPolicy {
   static IndexPolicy Prefer(const FrontierIndex* prebuilt) {
     return {Mode::kPrefer, prebuilt};
   }
-  static IndexPolicy Shared() { return {Mode::kShared, nullptr}; }
 };
 
 /// The path a planner query actually took (recorded in SweepResult::route
@@ -125,7 +121,6 @@ struct IndexPolicy {
 enum class QueryRoute {
   kSweep,          // full sweep, index never requested
   kIndex,          // answered by a caller-provided FrontierIndex
-  kSharedIndex,    // answered by the process-wide shared index
   kSweepFallback,  // index requested but query ineligible -> full sweep
   kDegradedSweep,  // PlannerEngine deadline too tight to build an index ->
                    // answered by a fresh full sweep instead
@@ -188,20 +183,19 @@ void validate_demand_dimensions(const ResourceCapacity& capacity,
 /// Evaluate a validated Query against every configuration; Algorithm 1
 /// plus the Pareto filter of §III-D. This is THE planner implementation —
 /// the (demand, constraints) overloads below and every higher-level entry
-/// point (recommend, Celia) forward here through Query::make, so input
+/// point (Celia, analysis) forward here through Query::make, so input
 /// validation runs exactly once per query. `hourly_costs[i]` is the
 /// per-hour price of one instance of type i.
 SweepResult sweep(const ConfigurationSpace& space,
                   const ResourceCapacity& capacity,
                   std::span<const double> hourly_costs, const Query& query);
 
-/// Catalog-aware planner entry: prices come from `catalog.hourly_costs()`
-/// and the IndexPolicy::Shared route consults the catalog-pinned cache
-/// (keyed by `catalog.fingerprint()`), so queries against two catalogs can
-/// never be answered from each other's staircase. Throws
-/// std::invalid_argument when `capacity` was characterized against a
-/// structurally different catalog, or when a Prefer index is pinned to a
-/// different catalog.
+/// Catalog-aware planner entry: prices come from `catalog.hourly_costs()`,
+/// and a Prefer index must be pinned to this catalog (or unpinned), so
+/// queries against two catalogs can never be answered from each other's
+/// staircase. Throws std::invalid_argument when `capacity` was
+/// characterized against a structurally different catalog, or when a
+/// Prefer index is pinned to a different catalog.
 SweepResult sweep(const ConfigurationSpace& space,
                   const ResourceCapacity& capacity,
                   const cloud::Catalog& catalog, const Query& query);

@@ -7,7 +7,6 @@
 #include <future>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/query.hpp"
@@ -230,6 +229,7 @@ std::vector<FrontierIndex::Entry> staircase_filter(
     }
   }
   std::reverse(kept.begin(), kept.end());
+  kept.shrink_to_fit();  // memory_bytes() charges capacity
   return kept;
 }
 
@@ -449,6 +449,8 @@ void FrontierIndex::GridStore::select_candidates(
       }
     }
   }
+  // bytes() charges capacity: drop push_back's growth slack (up to ~2x).
+  candidates.shrink_to_fit();
   delta_capable = true;
 }
 
@@ -1007,6 +1009,12 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
   next->s_locate = old_store.s_locate;
   next->anchor_hourly = old_store.anchor_hourly;
   next->u_offsets.assign(grid + 1, 0);
+  // Every survivor is a configuration of the narrowed space, so its size
+  // bounds the lanes: reserve once (memory_bytes() charges capacity).
+  const std::uint64_t narrowed_size = (total_ + 1) / radix_old * radix_new - 1;
+  next->pu_u.reserve(narrowed_size);
+  next->pu_cu.reserve(narrowed_size);
+  next->pu_idx.reserve(narrowed_size);
   std::vector<Entry> extras;
   for (std::size_t i = 0; i < grid; ++i) {
     next->u_offsets[i] = next->pu_u.size();
@@ -1036,7 +1044,7 @@ std::optional<FrontierIndex> FrontierIndex::with_limit(std::size_t type,
   out.max_counts_[type] = new_max;
   out.rates_ = rates_;
   out.hourly_ = hourly_;
-  out.total_ = (total_ + 1) / radix_old * radix_new - 1;
+  out.total_ = narrowed_size;
   out.positive_ = next->pu_u.size();
   out.grid_ = grid;
   out.frontier_ = staircase_filter(std::move(surviving));
@@ -1309,84 +1317,6 @@ bool FrontierIndex::matches(const ConfigurationSpace& space,
   for (std::size_t i = 0; i < hourly_.size(); ++i)
     if (hourly_costs[i] != hourly_[i]) return false;
   return true;
-}
-
-bool FrontierIndex::matches(const ConfigurationSpace& space,
-                            const ResourceCapacity& capacity,
-                            std::span<const double> hourly_costs,
-                            std::uint64_t catalog_fingerprint) const {
-  return catalog_fingerprint == catalog_fingerprint_ &&
-         matches(space, capacity, hourly_costs);
-}
-
-namespace {
-
-/// The shared-cache implementation behind both overloads. The key is
-/// (catalog fingerprint, model content); span-based callers live in the
-/// fingerprint-0 ("unpinned") key space, catalog-based callers in their
-/// catalog's own, so the two can never serve each other's entries.
-std::shared_ptr<const FrontierIndex> shared_frontier_index_keyed(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs, const cloud::Catalog* catalog,
-    parallel::ThreadPool* pool) {
-  const std::uint64_t fingerprint = catalog ? catalog->fingerprint() : 0;
-  static std::mutex mutex;
-  static std::vector<std::shared_ptr<const FrontierIndex>> cache;  // MRU first
-  constexpr std::size_t kMaxCached = 4;
-  static obs::Counter& cache_hits =
-      obs::counter("celia_frontier_cache_hits_total",
-                   "shared_frontier_index lookups served from the cache");
-  static obs::Counter& cache_misses = obs::counter(
-      "celia_frontier_cache_misses_total",
-      "shared_frontier_index lookups that had to build a new index");
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    for (auto it = cache.begin(); it != cache.end(); ++it) {
-      if ((*it)->matches(space, capacity, hourly_costs, fingerprint)) {
-        auto hit = *it;
-        cache.erase(it);
-        cache.insert(cache.begin(), hit);
-        cache_hits.add(1);
-        return hit;
-      }
-    }
-  }
-  cache_misses.add(1);
-
-  // Build outside the lock; a concurrent builder of the same model may
-  // race, in which case the first insertion wins.
-  FrontierIndex::BuildOptions build_options;
-  build_options.pool = pool;
-  auto built = std::make_shared<const FrontierIndex>(
-      catalog
-          ? FrontierIndex::build(space, capacity, *catalog, build_options)
-          : FrontierIndex::build(space, capacity, hourly_costs,
-                                 build_options));
-
-  std::lock_guard<std::mutex> lock(mutex);
-  for (const auto& cached : cache)
-    if (cached->matches(space, capacity, hourly_costs, fingerprint))
-      return cached;
-  cache.insert(cache.begin(), built);
-  if (cache.size() > kMaxCached) cache.pop_back();
-  return built;
-}
-
-}  // namespace
-
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs, parallel::ThreadPool* pool) {
-  return shared_frontier_index_keyed(space, capacity, hourly_costs, nullptr,
-                                     pool);
-}
-
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    const cloud::Catalog& catalog, parallel::ThreadPool* pool) {
-  return shared_frontier_index_keyed(space, capacity, catalog.hourly_costs(),
-                                     &catalog, pool);
 }
 
 }  // namespace celia::core

@@ -52,6 +52,10 @@
 // Risk-aware queries (confidence_z > 0) change the effective capacity per
 // configuration and keep the sweep path; see SweepOptions.
 //
+// There is no process-wide index cache: a caller either holds its index
+// and passes IndexPolicy::Prefer(&index) to sweep(), or plans through
+// core::PlannerEngine, whose byte-bounded LRU owns every index it builds.
+//
 // DELTA MAINTENANCE (see DESIGN.md §13): the build also records a compact
 // structure-of-arrays point store (per-strip U/Cu/config-index lanes) and
 // a WIDE staircase candidate set — every point whose anchor slope is
@@ -128,10 +132,10 @@ class FrontierIndex {
 
   /// Build for a specific catalog: prices come from
   /// `catalog.hourly_costs()` and the index is PINNED to the catalog's
-  /// full fingerprint, so the shared cache can never serve it for a
-  /// different catalog (even one with identical prices). Throws
-  /// std::invalid_argument when `capacity` was characterized against a
-  /// structurally different catalog.
+  /// full fingerprint, so sweep() refuses it, and PlannerEngine never
+  /// serves it, for a different catalog (even one with identical prices).
+  /// Throws std::invalid_argument when `capacity` was characterized
+  /// against a structurally different catalog.
   static FrontierIndex build(const ConfigurationSpace& space,
                              const ResourceCapacity& capacity,
                              const cloud::Catalog& catalog,
@@ -220,14 +224,6 @@ class FrontierIndex {
   bool matches(const ConfigurationSpace& space,
                const ResourceCapacity& capacity,
                std::span<const double> hourly_costs) const;
-
-  /// As above, additionally requiring the index's catalog pin to equal
-  /// `catalog_fingerprint` (0 = unpinned). The shared cache keys on this,
-  /// so two catalogs never alias one staircase.
-  bool matches(const ConfigurationSpace& space,
-               const ResourceCapacity& capacity,
-               std::span<const double> hourly_costs,
-               std::uint64_t catalog_fingerprint) const;
 
  private:
   // Counting grid + SoA point store + wide candidate set, built once and
@@ -343,22 +339,5 @@ class StripLocator {
 };
 
 }  // namespace detail
-
-/// Process-wide index cache (small LRU keyed by (catalog fingerprint,
-/// model content)): returns the shared index for (space, capacity,
-/// hourly_costs), building it on first use. This is what
-/// IndexPolicy::Shared() consults. Span-based lookups use the unpinned
-/// key space (fingerprint 0).
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    std::span<const double> hourly_costs,
-    parallel::ThreadPool* pool = nullptr);
-
-/// Catalog-pinned shared index: keyed by `catalog.fingerprint()` in
-/// addition to the model content, so two catalogs — even ones with
-/// identical prices — never share a cache entry.
-std::shared_ptr<const FrontierIndex> shared_frontier_index(
-    const ConfigurationSpace& space, const ResourceCapacity& capacity,
-    const cloud::Catalog& catalog, parallel::ThreadPool* pool = nullptr);
 
 }  // namespace celia::core

@@ -45,8 +45,6 @@ std::string_view query_route_name(QueryRoute route) {
       return "sweep";
     case QueryRoute::kIndex:
       return "index";
-    case QueryRoute::kSharedIndex:
-      return "shared_index";
     case QueryRoute::kSweepFallback:
       return "sweep_fallback";
     case QueryRoute::kDegradedSweep:

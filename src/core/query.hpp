@@ -2,8 +2,8 @@
 // core::Query — the validated planner query value type.
 //
 // Every planner entry point — sweep(), FrontierIndex::query(),
-// recommend(), Celia::select()/min_cost_configuration() — routes through
-// one of these. Construction via Query::make() runs validate_query()
+// PlannerEngine::plan(), Celia::select()/min_cost_configuration() — routes
+// through one of these. Construction via Query::make() runs validate_query()
 // exactly once; downstream code trusts a Query and never re-validates, so
 // a query is checked once no matter how many layers it passes through
 // (and a malformed one is rejected at the API boundary, with the same

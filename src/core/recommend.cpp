@@ -1,8 +1,6 @@
 #include "core/recommend.hpp"
 
 #include <algorithm>
-
-#include "core/query.hpp"
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -121,38 +119,6 @@ CostTimePoint pick_from_frontier(std::span<const CostTimePoint> frontier,
     }
   }
   throw std::invalid_argument("pick_from_frontier: unknown strategy");
-}
-
-std::optional<CostTimePoint> recommend(const ConfigurationSpace& space,
-                                       const ResourceCapacity& capacity,
-                                       std::span<const double> hourly_costs,
-                                       double demand,
-                                       const Constraints& constraints,
-                                       PickStrategy strategy,
-                                       parallel::ThreadPool* pool) {
-  SweepOptions options;
-  options.index_policy = IndexPolicy::Shared();
-  options.pool = pool;
-  const SweepResult result = sweep(space, capacity, hourly_costs,
-                                   Query::make(demand, constraints, options));
-  if (!result.any_feasible) return std::nullopt;
-  return pick_from_frontier(result.pareto, strategy);
-}
-
-std::optional<CostTimePoint> recommend(const ConfigurationSpace& space,
-                                       const ResourceCapacity& capacity,
-                                       std::span<const double> hourly_costs,
-                                       const apps::DemandVector& demand,
-                                       const Constraints& constraints,
-                                       PickStrategy strategy,
-                                       parallel::ThreadPool* pool) {
-  SweepOptions options;
-  options.index_policy = IndexPolicy::Shared();
-  options.pool = pool;
-  const SweepResult result = sweep(space, capacity, hourly_costs,
-                                   Query::make(demand, constraints, options));
-  if (!result.any_feasible) return std::nullopt;
-  return pick_from_frontier(result.pareto, strategy);
 }
 
 }  // namespace celia::core

@@ -15,11 +15,9 @@
 //                where the trade-off curvature is strongest (spending a
 //                little more stops buying much time).
 
-#include <optional>
 #include <span>
 #include <string_view>
 
-#include "core/enumerate.hpp"
 #include "core/pareto.hpp"
 
 namespace celia::core {
@@ -32,30 +30,5 @@ std::string_view pick_strategy_name(PickStrategy strategy);
 /// sorted. Throws std::invalid_argument on an empty frontier.
 CostTimePoint pick_from_frontier(std::span<const CostTimePoint> frontier,
                                  PickStrategy strategy);
-
-/// One-call planner query: compute the Pareto frontier for (demand,
-/// constraints) via the shared FrontierIndex (built on first use, reused
-/// after — microseconds per call) and pick one point from it. Returns
-/// nullopt when no configuration is feasible. Equivalent to sweep() +
-/// pick_from_frontier; risk-aware constraints take the sweep path.
-std::optional<CostTimePoint> recommend(const ConfigurationSpace& space,
-                                       const ResourceCapacity& capacity,
-                                       std::span<const double> hourly_costs,
-                                       double demand,
-                                       const Constraints& constraints,
-                                       PickStrategy strategy,
-                                       parallel::ThreadPool* pool = nullptr);
-
-/// Vector-demand form: identical selection over the bottleneck-feasible
-/// frontier. Multi-dimensional queries are index-ineligible, so this takes
-/// the (observable) sweep-fallback route; a 1-D demand vector is
-/// bit-identical to the scalar overload above.
-std::optional<CostTimePoint> recommend(const ConfigurationSpace& space,
-                                       const ResourceCapacity& capacity,
-                                       std::span<const double> hourly_costs,
-                                       const apps::DemandVector& demand,
-                                       const Constraints& constraints,
-                                       PickStrategy strategy,
-                                       parallel::ThreadPool* pool = nullptr);
 
 }  // namespace celia::core

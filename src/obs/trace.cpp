@@ -174,9 +174,13 @@ std::vector<TraceEvent> trace_snapshot() {
     std::lock_guard<std::mutex> lock(buffer->append_mutex);
     out.insert(out.end(), buffer->events.begin(), buffer->events.end());
   }
+  // A span is appended when it ENDS, so an inner span precedes its outer
+  // one in the buffer; when both start in the same microsecond, order the
+  // tie parent-first by depth. Equal (ts, depth) keep append order.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
+                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
+                     return a.depth < b.depth;
                    });
   return out;
 }

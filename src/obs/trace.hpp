@@ -76,7 +76,8 @@ void record_complete(std::string_view name, std::string_view category,
 void record_instant(std::string_view name, std::string_view category,
                     std::int64_t ts_us, std::uint64_t tid);
 
-/// All events recorded so far (every thread's buffer, ts-sorted).
+/// All events recorded so far (every thread's buffer), sorted by ts and,
+/// on a ts tie, parent span before child (depth ascending).
 std::vector<TraceEvent> trace_snapshot();
 
 /// Events dropped because a per-thread buffer was full.

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <string>
 
+#include "apps/demand.hpp"
 #include "core/enumerate.hpp"
+#include "core/query.hpp"
 #include "core/time_cost.hpp"
 #include "util/rng.hpp"
 
@@ -269,14 +271,36 @@ TEST(Sweep, BitIdenticalAcrossThreadCounts) {
   Constraints base;
   base.deadline_seconds = 3600.0;
   const double demand = 2e13;
-  for (const Constraints& constraints : {base, risk_aware(base)}) {
-    SCOPED_TRACE(constraints.confidence_z);
+  // The multi-dimensional walk: io rates are small integer multiples too,
+  // so bottleneck times tie exactly across configurations, and the io
+  // demand binds (it drops some configurations and reshapes the frontier).
+  std::vector<double> instructions, io;
+  for (std::size_t i = 0; i < model.capacity.num_types(); ++i) {
+    instructions.push_back(model.capacity.per_vcpu_rate(i));
+    io.push_back(1e3 * static_cast<double>(1 + rng.bounded(3)));
+  }
+  const ResourceCapacity two_dim(
+      celia::apps::DemandDimensions({"instructions", "io_ops"}),
+      {instructions, io}, celia::cloud::Catalog::ec2_table3());
+  struct Input {
+    const char* name;
+    const ResourceCapacity& capacity;
+    Query query;
+  };
+  const Input inputs[] = {
+      {"1-D", model.capacity, Query::make(demand, base)},
+      {"risk-aware", model.capacity, Query::make(demand, risk_aware(base))},
+      {"tied 2-D", two_dim,
+       Query::make(celia::apps::DemandVector{{demand, 1e8}}, base)},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
     std::vector<SweepResult> results;
     for (celia::parallel::ThreadPool* pool : {&one, &two, &eight}) {
       SweepOptions options;
       options.pool = pool;
-      results.push_back(sweep(model.space, model.capacity, model.hourly,
-                              demand, constraints, options));
+      results.push_back(sweep(model.space, input.capacity, model.hourly,
+                              input.query.with_options(options)));
     }
     ASSERT_TRUE(results[0].any_feasible);
     ASSERT_GT(results[0].pareto.size(), 1u);

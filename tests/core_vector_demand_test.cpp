@@ -3,10 +3,10 @@
 //
 //  1. A 1-D demand vector is the scalar model BIT FOR BIT — same doubles,
 //     same routing — across every planner entry point (sweep,
-//     FrontierIndex, recommend, PlannerEngine::plan), for all three seed
-//     applications. The hexfloat goldens below are captures from the
-//     scalar path (CloudProvider seed 2017, full measurement, T'=24 h,
-//     C'=$350); the galaxy row matches core_bit_identity_test.cpp.
+//     FrontierIndex, PlannerEngine::plan) and the frontier pick, for all
+//     three seed applications. The hexfloat goldens below are captures
+//     from the scalar path (CloudProvider seed 2017, full measurement,
+//     T'=24 h, C'=$350); the galaxy row matches core_bit_identity_test.cpp.
 //
 //  2. A multi-dimensional query is a different SCHEMA, not a degenerate
 //     case: it must agree with the capacity's width, is index-ineligible
@@ -155,24 +155,27 @@ TEST(VectorDemand, OneDimQueriesRemainIndexEligible) {
   }
 }
 
-TEST(VectorDemand, RecommendVectorOverloadMatchesScalar) {
+TEST(VectorDemand, PickFromVectorFrontierMatchesScalar) {
   for (const auto& golden : kGoldens) {
     const Celia& celia = seed_celia(golden.app);
     const double demand = celia.predict_demand(golden.params);
+    const SweepResult scalar =
+        sweep(celia.space(), celia.capacity(), celia.hourly_costs(),
+              Query::make(demand, paper_constraints()));
+    const SweepResult vector =
+        sweep(celia.space(), celia.capacity(), celia.hourly_costs(),
+              Query::make(DemandVector::scalar(demand), paper_constraints()));
+    ASSERT_TRUE(scalar.any_feasible && vector.any_feasible) << golden.app;
     for (const PickStrategy strategy :
          {PickStrategy::kCheapest, PickStrategy::kFastest,
           PickStrategy::kBalanced, PickStrategy::kKnee}) {
-      const auto via_scalar =
-          recommend(celia.space(), celia.capacity(), celia.hourly_costs(),
-                    demand, paper_constraints(), strategy);
-      const auto via_vector =
-          recommend(celia.space(), celia.capacity(), celia.hourly_costs(),
-                    DemandVector::scalar(demand), paper_constraints(),
-                    strategy);
-      ASSERT_TRUE(via_scalar && via_vector) << golden.app;
-      EXPECT_EQ(via_vector->config_index, via_scalar->config_index);
-      EXPECT_EQ(via_vector->seconds, via_scalar->seconds);
-      EXPECT_EQ(via_vector->cost, via_scalar->cost);
+      const CostTimePoint via_scalar =
+          pick_from_frontier(scalar.pareto, strategy);
+      const CostTimePoint via_vector =
+          pick_from_frontier(vector.pareto, strategy);
+      EXPECT_EQ(via_vector.config_index, via_scalar.config_index);
+      EXPECT_EQ(via_vector.seconds, via_scalar.seconds);
+      EXPECT_EQ(via_vector.cost, via_scalar.cost);
     }
   }
 }
@@ -309,8 +312,15 @@ TEST(VectorDemand, SchemaQueryOverloadValidatesAgainstTheSchema) {
 TEST(VectorDemand, MultiDimQueriesTakeTheObservableSweepFallback) {
   const ResourceCapacity capacity = two_dim_capacity();
   const ConfigurationSpace space(std::vector<int>(9, 2));
+  // A multi-dimensional capacity has no index, so Prefer one built on the
+  // instructions-only model of the same space.
+  std::vector<double> instructions;
+  for (std::size_t i = 0; i < capacity.num_types(); ++i)
+    instructions.push_back(capacity.per_vcpu_rate(i));
+  const FrontierIndex index = FrontierIndex::build(
+      space, ResourceCapacity(instructions, Catalog::ec2_table3()));
   SweepOptions options;
-  options.index_policy = IndexPolicy::Shared();
+  options.index_policy = IndexPolicy::Prefer(&index);
   const SweepResult result =
       sweep(space, capacity, Catalog::ec2_table3(),
             Query::make(DemandVector{{1e13, 2e7}}, paper_constraints(),
